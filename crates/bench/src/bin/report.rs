@@ -4,11 +4,12 @@
 //! Run `cargo run -p convmeter-bench --bin all_experiments --release` first;
 //! this binary only formats what that run wrote.
 
+use convmeter::TrainingPhasesResult;
 use convmeter_bench::exp_blocks::Table2Result;
 use convmeter_bench::exp_compare::Fig6Row;
 use convmeter_bench::exp_inference::{Fig2Series, Fig3Result, Table1Result};
 use convmeter_bench::exp_scaling::{BatchCurve, ScalingCurve};
-use convmeter_bench::exp_training::{Table3Result, TrainingPhasesResult};
+use convmeter_bench::exp_training::Table3Result;
 use convmeter_bench::report::results_dir;
 use std::fmt::Write as _;
 

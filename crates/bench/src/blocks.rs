@@ -6,7 +6,7 @@
 
 use convmeter::dataset::InferencePoint;
 use convmeter_graph::Graph;
-use convmeter_hwsim::{measure_inference, DeviceProfile, NoiseModel};
+use convmeter_hwsim::{expected_inference_time, DeviceProfile, NoiseModel};
 use convmeter_metrics::{ModelId, ModelMetrics};
 use convmeter_models::zoo;
 
@@ -66,7 +66,7 @@ pub fn block_dataset(
                     seed ^ (image as u64) << 20 ^ (batch as u64) << 4 ^ block.len() as u64,
                     device.noise_sigma,
                 );
-                let measured = measure_inference(device, &metrics, batch, &mut noise);
+                let measured = noise.jitter(expected_inference_time(device, &metrics, batch));
                 out.push(InferencePoint {
                     model: ModelId::intern(block),
                     image_size: image,

@@ -16,7 +16,7 @@
 use crate::report::Table;
 use convmeter::prelude::*;
 use convmeter_baselines::mlp::{graph_features, MlpConfig, MlpPredictor};
-use convmeter_hwsim::NoiseModel;
+use convmeter_hwsim::{expected_inference_time, NoiseModel};
 use convmeter_linalg::stats::{mape, nrmse};
 use convmeter_models::random::random_convnet;
 use serde::{Deserialize, Serialize};
@@ -64,7 +64,7 @@ fn train_surrogate(device: &DeviceProfile) -> MlpPredictor {
         let metrics = ModelMetrics::of(&graph).expect("generated nets validate");
         let mut noise = NoiseModel::new(0xD1_99 + seed, device.noise_sigma);
         for &batch in SURROGATE_BATCHES {
-            let measured = convmeter_hwsim::measure_inference(device, &metrics, batch, &mut noise);
+            let measured = noise.jitter(expected_inference_time(device, &metrics, batch));
             rows.push((graph_features(&metrics.at_batch(batch), 128), measured));
         }
     }
@@ -95,7 +95,7 @@ pub fn fig6(data: &[InferencePoint], full_sweep: &[InferencePoint]) -> Vec<Fig6R
         let train: Vec<InferencePoint> = full_sweep
             .iter()
             .filter(|p| p.model != model_name)
-            .cloned()
+            .copied()
             .collect();
         let test: Vec<&InferencePoint> = split.test.iter().map(|&i| &data[i]).collect();
         let meas: Vec<f64> = test.iter().map(|p| p.measured).collect();

@@ -10,7 +10,7 @@
 
 use crate::report::Table;
 use convmeter::prelude::*;
-use convmeter_hwsim::{measure_inference, NoiseModel};
+use convmeter_hwsim::{expected_inference_time, NoiseModel};
 use convmeter_linalg::stats::ErrorReport;
 use convmeter_metrics::ModelMetrics;
 use convmeter_models::zoo;
@@ -63,7 +63,7 @@ pub fn run(train: &[InferencePoint]) -> ExtendedZooResult {
             for (bi, &batch) in batches.iter().enumerate() {
                 let mut noise =
                     NoiseModel::new(0xE07 + bi as u64 * 131 + image as u64, device.noise_sigma);
-                let measured = measure_inference(&device, &metrics, batch, &mut noise);
+                let measured = noise.jitter(expected_inference_time(&device, &metrics, batch));
                 let predicted = model.predict_metrics(&metrics, batch);
                 let (lo, _, hi) = profile.interval(predicted, 1.96);
                 if measured >= lo && measured <= hi {

@@ -67,7 +67,7 @@ pub fn fig8(data: &[TrainingPoint]) -> Vec<ScalingCurve> {
     let nodes = [1usize, 2, 4, 8, 16];
     let mut curves = Vec::new();
     for &model in FIG8_MODELS {
-        let train: Vec<TrainingPoint> = data.iter().filter(|p| p.model != model).cloned().collect();
+        let train: Vec<TrainingPoint> = data.iter().filter(|p| p.model != model).copied().collect();
         let fitted = TrainingModel::fit(&train).expect("fig8 fit");
         let metrics = ModelMetrics::of(&zoo::by_name(model).unwrap().build(128, 1000)).unwrap();
         let predicted = throughput_vs_nodes(&fitted, &metrics, 64, &nodes, 4);
@@ -180,7 +180,7 @@ pub fn fig9(data: &[TrainingPoint]) -> Vec<BatchCurve> {
     let device = DeviceProfile::a100_80gb();
     let mut curves = Vec::new();
     for &model in FIG9_MODELS {
-        let train: Vec<TrainingPoint> = data.iter().filter(|p| p.model != model).cloned().collect();
+        let train: Vec<TrainingPoint> = data.iter().filter(|p| p.model != model).copied().collect();
         let fitted = TrainingModel::fit(&train).expect("fig9 fit");
         let metrics = ModelMetrics::of(&zoo::by_name(model).unwrap().build(128, 1000)).unwrap();
         let predicted = throughput_vs_batch(&fitted, &metrics, FIG9_BATCHES, 1, 4);

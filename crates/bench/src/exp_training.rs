@@ -3,90 +3,18 @@
 
 use crate::report::Table;
 use convmeter::prelude::*;
-use convmeter_linalg::cv::LeaveOneGroupOut;
 use convmeter_linalg::stats::ErrorReport;
-use convmeter_metrics::ModelId;
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
-/// Scatter of one training phase: (measured, predicted) with context.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct PhaseScatter {
-    /// Phase name: `forward`, `backward`, `grad_update`, `step`.
-    pub phase: String,
-    /// Points: (model, measured, predicted). The model id is interned and
-    /// serialises as the plain string.
-    pub points: Vec<(ModelId, f64, f64)>,
-    /// Error metrics across the phase.
-    pub report: ErrorReport,
-}
-
-/// Result of a training-phase evaluation (Figure 5 or 7).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct TrainingPhasesResult {
-    /// One scatter per phase plus the full step.
-    pub phases: Vec<PhaseScatter>,
-    /// Per-model step-time reports (Table 3 columns).
-    pub per_model: Vec<PerModelReport>,
-    /// Overall step-time metrics.
-    pub overall: ErrorReport,
-}
-
 /// Leave-one-model-out evaluation of all phases on a training dataset
 /// (single-GPU for Figure 5, distributed for Figure 7).
+///
+/// # Panics
+/// Panics if a fold's training fit fails; the registry only feeds it the
+/// fixed in-repo sweep datasets.
 pub fn evaluate_phases(points: &[TrainingPoint]) -> TrainingPhasesResult {
-    let groups: Vec<&str> = points.iter().map(|p| p.model.as_str()).collect();
-    let mut fwd = Vec::new();
-    let mut bwd = Vec::new();
-    let mut grad = Vec::new();
-    let mut step = Vec::new();
-    let mut per_model = Vec::new();
-    for (model_name, split) in LeaveOneGroupOut::splits(&groups) {
-        let train: Vec<TrainingPoint> = split.train.iter().map(|&i| points[i].clone()).collect();
-        let fitted = TrainingModel::fit(&train).expect("training fit");
-        let mut step_pred = Vec::new();
-        let mut step_meas = Vec::new();
-        for &i in &split.test {
-            let p = &points[i];
-            let name = p.model;
-            fwd.push((name, p.fwd, fitted.predict_forward(&p.metrics)));
-            bwd.push((name, p.bwd, fitted.predict_backward(&p.metrics)));
-            grad.push((
-                name,
-                p.grad,
-                fitted.predict_grad_update(&p.metrics, p.nodes),
-            ));
-            let s = fitted.predict_step(&p.metrics, p.nodes);
-            step.push((name, p.step_time(), s));
-            step_pred.push(s);
-            step_meas.push(p.step_time());
-        }
-        per_model.push(PerModelReport {
-            model: model_name.to_string(),
-            report: ErrorReport::compute(&step_pred, &step_meas),
-        });
-    }
-    let to_scatter = |phase: &str, pts: Vec<(ModelId, f64, f64)>| {
-        let meas: Vec<f64> = pts.iter().map(|p| p.1).collect();
-        let pred: Vec<f64> = pts.iter().map(|p| p.2).collect();
-        PhaseScatter {
-            phase: phase.to_string(),
-            report: ErrorReport::compute(&pred, &meas),
-            points: pts,
-        }
-    };
-    let phases = vec![
-        to_scatter("forward", fwd),
-        to_scatter("backward", bwd),
-        to_scatter("grad_update", grad),
-        to_scatter("step", step),
-    ];
-    let overall = phases.last().unwrap().report;
-    TrainingPhasesResult {
-        phases,
-        per_model,
-        overall,
-    }
+    leave_one_model_out_training(points).expect("training fit")
 }
 
 /// Result of Table 3: single-GPU and distributed per-model step errors.

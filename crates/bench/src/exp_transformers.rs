@@ -10,7 +10,7 @@
 
 use crate::report::Table;
 use convmeter::prelude::*;
-use convmeter_hwsim::{measure_inference, NoiseModel};
+use convmeter_hwsim::{expected_inference_time, NoiseModel};
 use convmeter_linalg::stats::ErrorReport;
 use convmeter_metrics::{ModelId, ModelMetrics};
 use convmeter_models::vit::{vit_b_16, vit_b_32, vit_l_16};
@@ -57,7 +57,7 @@ pub fn run() -> TransformersResult {
             for (bi, &batch) in batches.iter().enumerate() {
                 let mut noise =
                     NoiseModel::new(0x517 + bi as u64 * 977 + image as u64, device.noise_sigma);
-                let measured = measure_inference(&device, &metrics, batch, &mut noise);
+                let measured = noise.jitter(expected_inference_time(&device, &metrics, batch));
                 if measured > 0.25 {
                     continue; // same runtime cap policy as the CNN sweeps
                 }

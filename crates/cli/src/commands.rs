@@ -933,13 +933,10 @@ pub fn profile(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     write_profile(&profile, &out_path)?;
 
     // Coverage assertions: the workload must have exercised the compiled
-    // lowering and the batched fold solver — a profile (or gate run) that
-    // skipped them would be measuring a stale workload and silently pass.
-    let required_spans = [
-        "compile.model",
-        "linalg.qr.batched",
-        "convmeter.eval.batched",
-    ];
+    // lowering and the leave-one-model-out evaluators — a profile (or gate
+    // run) that skipped them would be measuring a stale workload and
+    // silently pass.
+    let required_spans = ["compile.model", "convmeter.eval"];
     let flat = profile.flat_spans();
     let missing: Vec<&str> = required_spans
         .iter()

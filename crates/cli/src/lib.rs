@@ -270,6 +270,10 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         return Err(CliError::Usage("no command given".into()));
     };
     let args = Args::parse(&argv[1..])?;
+    if args.switch("help") {
+        writeln!(out, "{USAGE}")?;
+        return Ok(());
+    }
     match command.as_str() {
         "list-models" => commands::list_models(out),
         "metrics" => commands::metrics(&args, out),
@@ -328,6 +332,16 @@ mod tests {
         let out = run_str(&["help"]).unwrap();
         assert!(out.contains("USAGE"));
         assert!(out.contains("scale-nodes"));
+    }
+
+    #[test]
+    fn command_help_prints_usage_without_running() {
+        let dir = std::env::temp_dir().join(format!("convmeter-cli-help-{}", std::process::id()));
+        std::env::set_var("CONVMETER_RESULTS", &dir);
+        let out = run_str(&["bench", "--help"]);
+        std::env::remove_var("CONVMETER_RESULTS");
+        assert!(out.unwrap().contains("USAGE"));
+        assert!(!dir.join("manifest.json").exists());
     }
 
     #[test]

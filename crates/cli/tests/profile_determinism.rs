@@ -54,11 +54,12 @@ fn profile_json_schema_is_stable() {
 
     // Versioned envelope.
     assert!(stdout.contains("\"format_version\": 1"));
-    assert!(stdout.contains("\"workload\": \"quick-v2\""));
+    assert!(stdout.contains("\"workload\": \"quick-v3\""));
     assert!(stdout.contains("\"deterministic\": true"));
 
     // Span-tree keys and the phases the acceptance criteria name: engine,
-    // hwsim sweep, distsim, compiled lowering, linalg fit, batched QR.
+    // hwsim sweep, distsim, compiled lowering, linalg fit, leave-one-model-out
+    // evaluation.
     for key in [
         "\"spans\"",
         "\"counters\"",
@@ -71,8 +72,7 @@ fn profile_json_schema_is_stable() {
         "distsim.sweep",
         "linalg.fit",
         "compile.model",
-        "linalg.qr.batched",
-        "convmeter.eval.batched",
+        "convmeter.eval",
         "profile.datasets",
         "profile.fits",
         "profile.eval",

@@ -15,7 +15,7 @@ use convmeter_metrics::{obs, BatchMetrics, ModelId};
 use serde::{Deserialize, Serialize};
 
 /// One inference observation with its resolved features.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct InferencePoint {
     /// Model name (the leave-one-out group key; interned, serialises as the
     /// plain string).
@@ -31,7 +31,7 @@ pub struct InferencePoint {
 }
 
 /// One training observation (single- or multi-node) with resolved features.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct TrainingPoint {
     /// Model name (the leave-one-out group key; interned, serialises as the
     /// plain string).

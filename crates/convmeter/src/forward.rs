@@ -231,7 +231,7 @@ mod tests {
         let train: Vec<InferencePoint> = data
             .iter()
             .filter(|p| p.model != "vgg11")
-            .cloned()
+            .copied()
             .collect();
         let test: Vec<&InferencePoint> = data.iter().filter(|p| p.model == "vgg11").collect();
         let model = ForwardModel::fit(&train).unwrap();

@@ -12,7 +12,7 @@
 //! * [`step`] — an analytic timeline simulation of one training step with
 //!   backward/communication overlap,
 //! * [`parallel`] — the same step executed by real per-device threads
-//!   (crossbeam + parking_lot) rendezvousing at each all-reduce; device
+//!   (`std::sync` mutex/condvar) rendezvousing at each all-reduce; device
 //!   stragglers are actually synchronised rather than approximated,
 //! * [`sweep`] — multi-node benchmark dataset generation.
 //!

@@ -8,9 +8,9 @@
 //! real — the collective completes at the *latest* device's ready time —
 //! rather than approximated with an order-statistics factor.
 //!
-//! The implementation exercises the parallelism stack the rest of the
-//! workspace leans on: `std::thread::scope` workers, a `parking_lot`
-//! mutex/condvar rendezvous, and a `crossbeam` channel collecting results.
+//! The implementation uses only `std`: `std::thread::scope` workers, a
+//! mutex/condvar rendezvous, and a bounded `mpsc` channel collecting
+//! results.
 
 use crate::cluster::ClusterConfig;
 use crate::fusion::fuse_gradients;
@@ -18,7 +18,8 @@ use crate::ring::all_reduce_time;
 use convmeter_hwsim::kernel::{backward_layer_time, forward_layer_time, optimizer_layer_time};
 use convmeter_hwsim::{DeviceProfile, NoiseModel, TrainingPhases};
 use convmeter_metrics::ModelMetrics;
-use parking_lot::{Condvar, Mutex};
+use std::sync::mpsc::sync_channel;
+use std::sync::{Condvar, Mutex, PoisonError};
 
 /// Rendezvous point where all device workers meet for each all-reduce.
 struct Coordinator {
@@ -48,7 +49,7 @@ impl Coordinator {
     /// Block until every device has contributed this round's bucket, then
     /// return the collective's completion time (identical on all devices).
     fn all_reduce(&self, cluster: &ClusterConfig, ready: f64, bytes: u64, tensors: usize) -> f64 {
-        let mut g = self.inner.lock();
+        let mut g = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         g.arrived += 1;
         g.max_ready = g.max_ready.max(ready);
         if g.arrived == self.devices {
@@ -64,10 +65,10 @@ impl Coordinator {
             g.completion
         } else {
             let target = g.round;
-            while g.round == target {
-                self.cv.wait(&mut g);
-            }
-            g.completion
+            self.cv
+                .wait_while(g, |state| state.round == target)
+                .unwrap_or_else(PoisonError::into_inner)
+                .completion
         }
     }
 }
@@ -97,7 +98,7 @@ pub fn simulate_step_threaded(
     const AUTOGRAD_OVERHEAD: f64 = 1.08;
     let n = cluster.total_devices();
     let coordinator = Coordinator::new(n);
-    let (tx, rx) = crossbeam::channel::bounded::<DeviceOutcome>(n);
+    let (tx, rx) = sync_channel::<DeviceOutcome>(n);
 
     std::thread::scope(|scope| {
         for rank in 0..n {

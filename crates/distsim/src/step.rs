@@ -145,7 +145,7 @@ pub fn measure_distributed_step(
 ///   profile's re-ring cost and restart the full gradient all-reduce over
 ///   the reduced ring, all charged to the gradient-update phase,
 /// * **slowdown windows / spikes / corruption** — as in the single-device
-///   path ([`convmeter_hwsim::measure_training_step_faulted`]).
+///   path ([`convmeter_hwsim::measure_training_step_faulted_from_phases`]).
 ///
 /// With the fault model's profile off this is exactly
 /// [`measure_distributed_step`].

@@ -53,16 +53,13 @@ pub use noise::NoiseModel;
 pub use precision::Precision;
 pub use runner::{
     degraded_inference_time, degraded_inference_time_compiled, expected_inference_time,
-    expected_inference_time_compiled, measure_inference, measure_inference_compiled,
-    measure_inference_faulted, measure_inference_faulted_compiled,
-    measure_inference_faulted_from_expected, measure_inference_from_expected, InferenceSample,
+    expected_inference_time_compiled, measure_inference_faulted_from_expected, InferenceSample,
 };
 pub use sweep::{
     inference_sweep, inference_sweep_faulted, training_sweep, training_sweep_faulted, SweepConfig,
 };
 pub use training::{
-    expected_training_phases, expected_training_phases_compiled, measure_training_step,
-    measure_training_step_compiled, measure_training_step_faulted,
-    measure_training_step_faulted_compiled, measure_training_step_faulted_from_phases,
-    measure_training_step_from_phases, TrainingPhases, TrainingSample,
+    expected_training_phases, expected_training_phases_compiled,
+    measure_training_step_faulted_from_phases, measure_training_step_from_phases, TrainingPhases,
+    TrainingSample,
 };

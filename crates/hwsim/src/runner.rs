@@ -56,37 +56,6 @@ pub fn expected_inference_time_compiled(
     kernels + device.base_overhead
 }
 
-/// A noisy "measurement" of inference time, as a real benchmark would record.
-pub fn measure_inference(
-    device: &DeviceProfile,
-    metrics: &ModelMetrics,
-    batch: usize,
-    noise: &mut NoiseModel,
-) -> f64 {
-    noise.jitter(expected_inference_time(device, metrics, batch))
-}
-
-/// [`measure_inference`] over a compiled cost table (bit-identical).
-pub fn measure_inference_compiled(
-    device: &DeviceProfile,
-    model: &CompiledModel,
-    batch: usize,
-    noise: &mut NoiseModel,
-) -> f64 {
-    measure_inference_from_expected(
-        expected_inference_time_compiled(device, model, batch),
-        noise,
-    )
-}
-
-/// One noisy inference measurement around an already-computed expected time.
-///
-/// Sweeps fold the cost table once per point and reuse the value for both
-/// the point-time cap check and the measurement; this is that second half.
-pub fn measure_inference_from_expected(expected: f64, noise: &mut NoiseModel) -> f64 {
-    noise.jitter(expected)
-}
-
 /// Expected inference time under a compute-rate slowdown (fault injection's
 /// throttling windows). `slowdown = 1.0` matches
 /// [`expected_inference_time`] exactly.
@@ -119,36 +88,11 @@ pub fn degraded_inference_time_compiled(
     kernels + device.base_overhead
 }
 
-/// A fault-injected measurement: the point may land in a slowdown window
+/// A fault-injected inference measurement around an already-computed
+/// unfaulted expected time: the point may land in a slowdown window
 /// (throttled compute), be hit by a heavy-tailed straggler spike, or come
 /// back corrupted as NaN. Noise and faults draw from independent seeded
 /// streams.
-pub fn measure_inference_faulted(
-    device: &DeviceProfile,
-    metrics: &ModelMetrics,
-    batch: usize,
-    noise: &mut NoiseModel,
-    fault: &mut FaultModel,
-) -> f64 {
-    let slowdown = fault.compute_slowdown();
-    let expected = degraded_inference_time(device, metrics, batch, slowdown);
-    fault.corrupt(noise.jitter(expected))
-}
-
-/// [`measure_inference_faulted`] over a compiled cost table (bit-identical).
-pub fn measure_inference_faulted_compiled(
-    device: &DeviceProfile,
-    model: &CompiledModel,
-    batch: usize,
-    noise: &mut NoiseModel,
-    fault: &mut FaultModel,
-) -> f64 {
-    let expected = expected_inference_time_compiled(device, model, batch);
-    measure_inference_faulted_from_expected(device, model, batch, expected, noise, fault)
-}
-
-/// [`measure_inference_faulted_compiled`] reusing an already-computed
-/// unfaulted expected time.
 ///
 /// Outside a slowdown window (`slowdown == 1.0`, the common case) the
 /// degraded fold is skipped entirely — throttling by `1.0` is bit-identical
@@ -251,19 +195,5 @@ mod tests {
                 assert_eq!(legacy.to_bits(), compiled.to_bits());
             }
         }
-    }
-
-    #[test]
-    fn measurement_jitters_around_expectation() {
-        let d = DeviceProfile::a100_80gb();
-        let m = metrics("resnet18", 128);
-        let expected = expected_inference_time(&d, &m, 32);
-        let mut noise = NoiseModel::new(3, d.noise_sigma);
-        let samples: Vec<f64> = (0..200)
-            .map(|_| measure_inference(&d, &m, 32, &mut noise))
-            .collect();
-        let mean = samples.iter().sum::<f64>() / samples.len() as f64;
-        assert!((mean / expected - 1.0).abs() < 0.03);
-        assert!(samples.iter().any(|&s| s != expected));
     }
 }

@@ -21,8 +21,7 @@ use crate::fault::{FaultModel, FaultProfile, FAULT_SALT};
 use crate::memory::{inference_memory_bytes_compiled, training_memory_bytes_compiled};
 use crate::noise::NoiseModel;
 use crate::runner::{
-    expected_inference_time_compiled, measure_inference_faulted_from_expected,
-    measure_inference_from_expected, InferenceSample,
+    expected_inference_time_compiled, measure_inference_faulted_from_expected, InferenceSample,
 };
 use crate::training::{
     expected_training_phases_compiled, measure_training_step_faulted_from_phases,
@@ -212,7 +211,7 @@ fn inference_points(
             let seed = config.point_seed(cm.id.as_str(), cm.image_size, batch);
             let mut noise = NoiseModel::new(seed, device.noise_sigma);
             let time_s = match faults {
-                None => measure_inference_from_expected(expected, &mut noise),
+                None => noise.jitter(expected),
                 Some(profile) => {
                     let mut fault = FaultModel::new(profile, seed ^ FAULT_SALT);
                     measure_inference_faulted_from_expected(

@@ -114,37 +114,9 @@ pub fn expected_training_phases_compiled(
     }
 }
 
-/// A noisy measurement of one training step; each phase jitters
-/// independently, as phase timers in a real harness would.
-pub fn measure_training_step(
-    device: &DeviceProfile,
-    metrics: &ModelMetrics,
-    batch: usize,
-    noise: &mut NoiseModel,
-) -> TrainingPhases {
-    let p = expected_training_phases(device, metrics, batch);
-    TrainingPhases {
-        forward: noise.jitter(p.forward),
-        backward: noise.jitter(p.backward),
-        grad_update: noise.jitter(p.grad_update),
-    }
-}
-
-/// [`measure_training_step`] over a compiled cost table (bit-identical).
-pub fn measure_training_step_compiled(
-    device: &DeviceProfile,
-    model: &CompiledModel,
-    batch: usize,
-    noise: &mut NoiseModel,
-) -> TrainingPhases {
-    measure_training_step_from_phases(
-        &expected_training_phases_compiled(device, model, batch),
-        noise,
-    )
-}
-
 /// One noisy training-step measurement around already-computed expected
-/// phases.
+/// phases; each phase jitters independently, as phase timers in a real
+/// harness would.
 ///
 /// Sweeps fold the cost table once per point and reuse the phases for both
 /// the point-time cap check and the measurement; this is that second half.
@@ -159,55 +131,12 @@ pub fn measure_training_step_from_phases(
     }
 }
 
-/// A fault-injected training-step measurement: a slowdown window throttles
-/// all compute phases, one straggler spike stretches the whole step (the
-/// phase timers all see the same straggling device), and corruption NaNs
-/// every phase (the harness lost the sample).
-pub fn measure_training_step_faulted(
-    device: &DeviceProfile,
-    metrics: &ModelMetrics,
-    batch: usize,
-    noise: &mut NoiseModel,
-    fault: &mut FaultModel,
-) -> TrainingPhases {
-    let slowdown = fault.compute_slowdown();
-    let p = expected_training_phases(device, metrics, batch);
-    let mut phases = TrainingPhases {
-        forward: noise.jitter(p.forward * slowdown),
-        backward: noise.jitter(p.backward * slowdown),
-        grad_update: noise.jitter(p.grad_update * slowdown),
-    };
-    let spike = fault.spike_factor();
-    phases.forward *= spike;
-    phases.backward *= spike;
-    phases.grad_update *= spike;
-    if fault.is_corrupt() {
-        phases.forward = f64::NAN;
-        phases.backward = f64::NAN;
-        phases.grad_update = f64::NAN;
-    }
-    phases
-}
-
-/// [`measure_training_step_faulted`] over a compiled cost table
-/// (bit-identical: same fault/noise draw order, same phase sums).
-pub fn measure_training_step_faulted_compiled(
-    device: &DeviceProfile,
-    model: &CompiledModel,
-    batch: usize,
-    noise: &mut NoiseModel,
-    fault: &mut FaultModel,
-) -> TrainingPhases {
-    measure_training_step_faulted_from_phases(
-        &expected_training_phases_compiled(device, model, batch),
-        noise,
-        fault,
-    )
-}
-
-/// [`measure_training_step_faulted_compiled`] reusing already-computed
-/// expected phases (same fault/noise draw order — the slowdown scales the
-/// precomputed phase sums, so no second table fold is needed).
+/// A fault-injected training-step measurement around already-computed
+/// expected phases: a slowdown window throttles all compute phases (it
+/// scales the precomputed phase sums, so no second table fold is needed),
+/// one straggler spike stretches the whole step (the phase timers all see
+/// the same straggling device), and corruption NaNs every phase (the
+/// harness lost the sample).
 pub fn measure_training_step_faulted_from_phases(
     p: &TrainingPhases,
     noise: &mut NoiseModel,
@@ -305,8 +234,9 @@ mod tests {
         let d = DeviceProfile::a100_80gb();
         let m = metrics("resnet18", 64);
         let mut noise = NoiseModel::new(11, d.noise_sigma);
-        let a = measure_training_step(&d, &m, 16, &mut noise);
-        let b = measure_training_step(&d, &m, 16, &mut noise);
+        let expected = expected_training_phases(&d, &m, 16);
+        let a = measure_training_step_from_phases(&expected, &mut noise);
+        let b = measure_training_step_from_phases(&expected, &mut noise);
         assert_ne!(a.forward, b.forward);
         assert_ne!(a.backward, b.backward);
     }

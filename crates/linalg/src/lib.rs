@@ -13,9 +13,6 @@
 //!   and squaring the condition number would be reckless.
 //! * [`regression`] — [`regression::LinearRegression`] (OLS with optional
 //!   intercept and optional ridge damping).
-//! * [`batched`] — [`FoldedLstsq`]: factor a design once, then solve every
-//!   leave-one-group-out fold by downdating the Gram system, instead of
-//!   refactoring per fold.
 //! * [`stats`] — the goodness-of-fit metrics the paper reports: R², RMSE,
 //!   NRMSE (range-normalised), and MAPE.
 //! * [`cv`] — K-fold and leave-one-group-out splitters. Leave-one-group-out
@@ -26,7 +23,6 @@
 
 #![warn(missing_docs)]
 
-pub mod batched;
 pub mod cv;
 pub mod diagnostics;
 pub mod matrix;
@@ -35,7 +31,6 @@ pub mod regression;
 pub mod robust;
 pub mod stats;
 
-pub use batched::FoldedLstsq;
 pub use cv::{KFold, LeaveOneGroupOut, Split};
 pub use diagnostics::ResidualProfile;
 pub use matrix::Matrix;

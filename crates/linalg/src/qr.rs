@@ -154,74 +154,6 @@ impl HouseholderQr {
         }
         Ok(x)
     }
-
-    /// Solve `min ||A x_i - b_i||` for many right-hand sides against one
-    /// factorisation. The reflectors are swept once, updating every RHS in
-    /// the same pass, so `k` solves cost one Qᵀ application instead of `k`.
-    ///
-    /// # Panics
-    /// Panics if any `rhs` length differs from the factored row count.
-    #[allow(clippy::needless_range_loop)] // lockstep indexing into qr and ys/x
-    pub fn solve_many(&self, rhs: &[&[f64]]) -> Result<Vec<Vec<f64>>, QrError> {
-        let _span = convmeter_obs::span!("linalg.qr.solve");
-        let (m, n) = (self.qr.rows(), self.qr.cols());
-        if m == 0 {
-            return Ok(vec![Vec::new(); rhs.len()]);
-        }
-        // One flat working buffer for every RHS, filled by copy (no
-        // per-RHS allocation in the sweep below).
-        let mut ys = vec![0.0; rhs.len() * m];
-        for (y, b) in ys.chunks_exact_mut(m).zip(rhs) {
-            assert_eq!(b.len(), m, "rhs length mismatch");
-            y.copy_from_slice(b);
-        }
-        // Apply Qᵀ to every RHS in one sweep over the reflectors.
-        for k in 0..n {
-            if self.beta[k] == 0.0 {
-                continue;
-            }
-            for y in ys.chunks_exact_mut(m) {
-                let mut s = y[k];
-                for i in (k + 1)..m {
-                    s += self.qr[(i, k)] * y[i];
-                }
-                s *= self.beta[k];
-                y[k] -= s;
-                for i in (k + 1)..m {
-                    y[i] -= s * self.qr[(i, k)];
-                }
-            }
-        }
-        // Back-substitute each RHS through the shared R.
-        let tol = f64::EPSILON * (m as f64) * self.qr.max_abs().max(1e-300);
-        let mut xs: Vec<Vec<f64>> = vec![vec![0.0; n]; rhs.len()];
-        for (x, y) in xs.iter_mut().zip(ys.chunks_exact(m)) {
-            for k in (0..n).rev() {
-                let mut s = y[k];
-                for j in (k + 1)..n {
-                    s -= self.qr[(k, j)] * x[j];
-                }
-                let rkk = self.qr[(k, k)];
-                if rkk.abs() <= tol {
-                    return Err(QrError::RankDeficient { column: k });
-                }
-                x[k] = s / rkk;
-            }
-        }
-        Ok(xs)
-    }
-
-    /// The upper-triangular factor `R` as an `n x n` matrix.
-    pub fn r(&self) -> Matrix {
-        let n = self.qr.cols();
-        let mut r = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in i..n {
-                r[(i, j)] = self.qr[(i, j)];
-            }
-        }
-        r
-    }
 }
 
 /// Cheap condition-number estimate of `a`: the ratio `max|r_kk| / min|r_kk|`
@@ -391,52 +323,6 @@ mod tests {
         assert!(condition_estimate(&zero_col).unwrap().is_infinite());
         // Underdetermined still errors.
         assert!(condition_estimate(&Matrix::zeros(1, 2)).is_err());
-    }
-
-    #[test]
-    fn solve_many_matches_solve_bitwise() {
-        let a = Matrix::from_rows(&[
-            vec![1.0, 1.0],
-            vec![1.0, 2.0],
-            vec![1.0, 3.0],
-            vec![1.0, 4.0],
-        ]);
-        let qr = HouseholderQr::new(&a).unwrap();
-        let b1 = [6.0, 5.0, 7.0, 10.0];
-        let b2 = [1.0, -2.0, 0.5, 3.0];
-        let many = qr.solve_many(&[&b1, &b2]).unwrap();
-        assert_eq!(many[0], qr.solve(&b1).unwrap());
-        assert_eq!(many[1], qr.solve(&b2).unwrap());
-    }
-
-    #[test]
-    fn solve_many_surfaces_rank_deficiency() {
-        let sing = Matrix::from_rows(&[vec![1.0, 2.0], vec![2.0, 4.0], vec![3.0, 6.0]]);
-        let qr = HouseholderQr::new(&sing).unwrap();
-        let b = [1.0, 2.0, 3.0];
-        assert!(matches!(
-            qr.solve_many(&[&b]),
-            Err(QrError::RankDeficient { .. })
-        ));
-    }
-
-    #[test]
-    fn r_factor_reproduces_gram_matrix() {
-        // RᵀR must equal AᵀA: both are the Gram matrix of A's columns.
-        let a = Matrix::from_rows(&[
-            vec![1.0, 0.5, 2.0],
-            vec![0.3, 2.0, -1.0],
-            vec![1.5, 1.0, 0.2],
-            vec![-0.7, 0.9, 1.1],
-        ]);
-        let r = HouseholderQr::new(&a).unwrap().r();
-        let rtr = r.transpose().matmul(&r);
-        let ata = a.transpose().matmul(&a);
-        for i in 0..3 {
-            for j in 0..3 {
-                assert!((rtr[(i, j)] - ata[(i, j)]).abs() < 1e-12);
-            }
-        }
     }
 
     #[test]

@@ -108,7 +108,7 @@ pub struct Profile {
     /// Schema version ([`PROFILE_FORMAT`]).
     pub format_version: u32,
     /// Which workload suite produced this profile (a versioned name such as
-    /// `quick-v2` / `full-v2`; the suffix is bumped when the suite changes).
+    /// `quick-v3` / `full-v3`; the suffix is bumped when the suite changes).
     pub workload: String,
     /// Whether machine-dependent fields have been zeroed.
     pub deterministic: bool,

@@ -7,8 +7,8 @@
 //! the experiment harness. The metric names keep their historical
 //! `engine.pool.*` prefix.
 //!
-//! The workspace's `rayon` dependency is an offline *sequential* shim, so
-//! the engine brings its own scheduler: `run_ordered` fans N items out to
+//! The workspace has no data-parallel runtime dependency, so the engine
+//! brings its own scheduler: `run_ordered` fans N items out to
 //! at most `jobs` worker threads pulling from a shared atomic work index,
 //! and returns results in input order regardless of completion order.
 //!

@@ -66,7 +66,7 @@ fn combined_metrics_beat_single_metrics_out_of_sample() {
     let mut single_errs = vec![Vec::new(); 3];
     let mut combined_errs = Vec::new();
     for (_, split) in convmeter_linalg::cv::LeaveOneGroupOut::splits(&groups) {
-        let train: Vec<InferencePoint> = split.train.iter().map(|&i| data[i].clone()).collect();
+        let train: Vec<InferencePoint> = split.train.iter().map(|&i| data[i]).collect();
         let test: Vec<&InferencePoint> = split.test.iter().map(|&i| &data[i]).collect();
         let meas: Vec<f64> = test.iter().map(|p| p.measured).collect();
         let combined = ForwardModel::fit(&train).unwrap();

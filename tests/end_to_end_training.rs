@@ -27,8 +27,9 @@ fn dist_config() -> DistSweepConfig {
 fn held_out_training_step_accuracy() {
     let device = DeviceProfile::a100_80gb();
     let data = distributed_dataset(&device, &dist_config()).unwrap();
-    let (reports, _, overall) = leave_one_model_out_training(&data).unwrap();
-    assert_eq!(reports.len(), 6);
+    let result = leave_one_model_out_training(&data).unwrap();
+    assert_eq!(result.per_model.len(), 6);
+    let overall = result.overall;
     // Paper: distributed step R2 = 0.78, MAPE = 0.15.
     assert!(overall.r2 > 0.85, "overall {overall}");
     assert!(overall.mape < 0.4, "overall {overall}");

@@ -28,7 +28,7 @@ fi
 
 if [[ ! -f "$BASELINE" ]]; then
     echo "perf gate: baseline '$BASELINE' not found" >&2
-    echo "perf gate: generate one with: cargo run -q -p convmeter-cli -- profile --quick --out $BASELINE" >&2
+    echo "perf gate: generate one with: cargo run -q --release -p convmeter-cli -- profile --quick --out $BASELINE" >&2
     exit 1
 fi
 
@@ -40,16 +40,16 @@ fi
 export CONVMETER_RESULTS
 
 status=0
-cargo run -q -p convmeter-cli --offline -- profile $QUICK_FLAG \
+cargo run -q --release -p convmeter-cli --offline -- profile $QUICK_FLAG \
     --baseline "$BASELINE" --tolerance "$TOLERANCE" || status=$?
 
 # Per-span coverage assertions on the freshly written profile: the workload
-# must have exercised the compiled-model lowering and the batched QR fold
-# solver. The CLI enforces the same list; this is the belt to its braces so
+# must have exercised the compiled-model lowering and the leave-one-model-out
+# evaluators. The CLI enforces the same list; this is the belt to its braces so
 # a stale CLI binary cannot silently gate a hollow workload.
 PROFILE_JSON="$CONVMETER_RESULTS/BENCH_profile.json"
 if [[ -f "$PROFILE_JSON" ]]; then
-    for span in "compile.model" "linalg.qr.batched" "profile.datasets"; do
+    for span in "compile.model" "convmeter.eval" "profile.datasets"; do
         if ! grep -q "\"name\": \"$span\"" "$PROFILE_JSON"; then
             echo "perf gate: required span '$span' missing from $PROFILE_JSON" >&2
             status=1
