@@ -103,6 +103,21 @@ pub enum EngineError {
         /// The underlying sweep error.
         source: convmeter_hwsim::SweepError,
     },
+    /// A leave-one-model-out evaluation could not fit one of its folds.
+    Fit {
+        /// Storage key of the evaluated dataset.
+        key: String,
+        /// The underlying fit error.
+        source: convmeter_linalg::FitError,
+    },
+    /// A held-out model was requested for a ConvNet the dataset does not
+    /// contain, so no fold left it out.
+    MissingFold {
+        /// Storage key of the evaluated dataset.
+        key: String,
+        /// The requested ConvNet.
+        model: String,
+    },
 }
 
 impl std::fmt::Display for EngineError {
@@ -133,6 +148,15 @@ impl std::fmt::Display for EngineError {
             EngineError::Sweep { key, source } => {
                 write!(f, "dataset {key} could not be built: {source}")
             }
+            EngineError::Fit { key, source } => {
+                write!(
+                    f,
+                    "leave-one-model-out evaluation of {key} failed: {source}"
+                )
+            }
+            EngineError::MissingFold { key, model } => {
+                write!(f, "dataset {key} has no points of '{model}' to hold out")
+            }
         }
     }
 }
@@ -142,6 +166,7 @@ impl std::error::Error for EngineError {
         match self {
             EngineError::Io { source, .. } => Some(source),
             EngineError::Sweep { source, .. } => Some(source),
+            EngineError::Fit { source, .. } => Some(source),
             _ => None,
         }
     }

@@ -89,7 +89,9 @@ impl Experiment for Table1 {
     fn run(&self, ctx: &RunContext<'_>) -> Result<RunOutput, EngineError> {
         let cpu_data = ctx.inference(&spec_inference_cpu())?;
         let gpu_data = ctx.inference(&spec_inference_gpu())?;
-        let result = exp_inference::table1(&cpu_data, &gpu_data);
+        let cpu_eval = ctx.store.inference_evaluation(&spec_inference_cpu())?;
+        let gpu_eval = ctx.store.inference_evaluation(&spec_inference_gpu())?;
+        let result = exp_inference::table1(&cpu_data, &cpu_eval, &gpu_data, &gpu_eval);
         Ok(RunOutput {
             rendered: exp_inference::render_table1(&result),
             artifacts: vec![Artifact::json("table1", &result)],
@@ -136,9 +138,9 @@ impl Experiment for Fig3 {
         vec![spec_inference_cpu(), spec_inference_gpu()]
     }
     fn run(&self, ctx: &RunContext<'_>) -> Result<RunOutput, EngineError> {
-        let cpu_data = ctx.inference(&spec_inference_cpu())?;
-        let gpu_data = ctx.inference(&spec_inference_gpu())?;
-        let result = exp_inference::fig3(&cpu_data, &gpu_data);
+        let cpu_eval = ctx.store.inference_evaluation(&spec_inference_cpu())?;
+        let gpu_eval = ctx.store.inference_evaluation(&spec_inference_gpu())?;
+        let result = exp_inference::fig3(&cpu_eval, &gpu_eval);
         Ok(RunOutput {
             rendered: exp_inference::render_fig3(&result),
             artifacts: vec![Artifact::json("fig3", &result)],
@@ -161,8 +163,8 @@ impl Experiment for Table2 {
         vec![spec_blocks()]
     }
     fn run(&self, ctx: &RunContext<'_>) -> Result<RunOutput, EngineError> {
-        let blocks = ctx.inference(&spec_blocks())?;
-        let result = exp_blocks::table2(&blocks);
+        let eval = ctx.store.inference_evaluation(&spec_blocks())?;
+        let result = exp_blocks::table2(&eval);
         Ok(RunOutput {
             rendered: exp_blocks::render_table2(&result),
             artifacts: vec![Artifact::json("table2", &result)],
@@ -185,15 +187,13 @@ impl Experiment for Fig4 {
         vec![spec_blocks()]
     }
     fn run(&self, ctx: &RunContext<'_>) -> Result<RunOutput, EngineError> {
-        let blocks = ctx.inference(&spec_blocks())?;
-        let result = exp_blocks::table2(&blocks);
+        let (_, scatter, overall) = &*ctx.store.inference_evaluation(&spec_blocks())?;
         Ok(RunOutput {
             rendered: format!(
-                "Figure 4 scatter: {} points, overall {}\n",
-                result.scatter.len(),
-                result.overall
+                "Figure 4 scatter: {} points, overall {overall}\n",
+                scatter.len(),
             ),
-            artifacts: vec![Artifact::json("fig4", &result.scatter)],
+            artifacts: vec![Artifact::json("fig4", scatter)],
         })
     }
 }
@@ -213,9 +213,9 @@ impl Experiment for Table3 {
         vec![spec_training(), spec_distributed()]
     }
     fn run(&self, ctx: &RunContext<'_>) -> Result<RunOutput, EngineError> {
-        let single = exp_training::evaluate_phases(&ctx.training(&spec_training())?);
-        let distributed = exp_training::evaluate_phases(&ctx.training(&spec_distributed())?);
-        let result = exp_training::table3(&single, &distributed);
+        let single = ctx.store.training_evaluation(&spec_training())?;
+        let distributed = ctx.store.training_evaluation(&spec_distributed())?;
+        let result = exp_training::table3(&single.phases, &distributed.phases);
         Ok(RunOutput {
             rendered: exp_training::render_table3(&result),
             artifacts: vec![Artifact::json("table3", &result)],
@@ -238,13 +238,13 @@ impl Experiment for Fig5 {
         vec![spec_training()]
     }
     fn run(&self, ctx: &RunContext<'_>) -> Result<RunOutput, EngineError> {
-        let result = exp_training::evaluate_phases(&ctx.training(&spec_training())?);
+        let eval = ctx.store.training_evaluation(&spec_training())?;
         Ok(RunOutput {
             rendered: exp_training::render_phases(
                 "Figure 5: training phases, single A100 (held-out)",
-                &result,
+                &eval.phases,
             ),
-            artifacts: vec![Artifact::json("fig5", &result)],
+            artifacts: vec![Artifact::json("fig5", &eval.phases)],
         })
     }
 }
@@ -289,13 +289,13 @@ impl Experiment for Fig7 {
         vec![spec_distributed()]
     }
     fn run(&self, ctx: &RunContext<'_>) -> Result<RunOutput, EngineError> {
-        let result = exp_training::evaluate_phases(&ctx.training(&spec_distributed())?);
+        let eval = ctx.store.training_evaluation(&spec_distributed())?;
         Ok(RunOutput {
             rendered: exp_training::render_phases(
                 "Figure 7: training phases, multi-node (held-out)",
-                &result,
+                &eval.phases,
             ),
-            artifacts: vec![Artifact::json("fig7", &result)],
+            artifacts: vec![Artifact::json("fig7", &eval.phases)],
         })
     }
 }
@@ -315,7 +315,10 @@ impl Experiment for Fig8 {
         vec![spec_distributed()]
     }
     fn run(&self, ctx: &RunContext<'_>) -> Result<RunOutput, EngineError> {
-        let curves = exp_scaling::fig8(&ctx.training(&spec_distributed())?);
+        let held_out = ctx
+            .store
+            .held_out_training_models(&spec_distributed(), exp_scaling::FIG8_MODELS)?;
+        let curves = exp_scaling::fig8(&held_out);
         Ok(RunOutput {
             rendered: exp_scaling::render_fig8(&curves),
             artifacts: vec![Artifact::json("fig8", &curves)],
@@ -338,7 +341,10 @@ impl Experiment for Fig9 {
         vec![spec_distributed()]
     }
     fn run(&self, ctx: &RunContext<'_>) -> Result<RunOutput, EngineError> {
-        let curves = exp_scaling::fig9(&ctx.training(&spec_distributed())?);
+        let held_out = ctx
+            .store
+            .held_out_training_models(&spec_distributed(), exp_scaling::FIG9_MODELS)?;
+        let curves = exp_scaling::fig9(&held_out);
         Ok(RunOutput {
             rendered: exp_scaling::render_fig9(&curves),
             artifacts: vec![Artifact::json("fig9", &curves)],
@@ -362,8 +368,9 @@ impl Experiment for Ablations {
     }
     fn run(&self, ctx: &RunContext<'_>) -> Result<RunOutput, EngineError> {
         let data = ctx.inference(&spec_inference_gpu())?;
+        let held_out = ctx.store.inference_evaluation(&spec_inference_gpu())?;
         let dist = ctx.training(&spec_distributed())?;
-        let result = exp_ablations::run(&data, &dist);
+        let result = exp_ablations::run(&data, &held_out, &dist);
         Ok(RunOutput {
             rendered: exp_ablations::render(&result),
             artifacts: vec![Artifact::json("ablations", &result)],

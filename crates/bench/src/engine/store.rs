@@ -7,6 +7,14 @@
 //! result under `results/cache/<key>.json` so warm reruns skip simulation
 //! entirely.
 //!
+//! Next to each dataset the store memoises its leave-one-model-out
+//! evaluation the same way, per storage key: Table 1, Figure 3 and the
+//! ablations share one inference evaluation per device, Table 2 and
+//! Figure 4 share the block one, and Table 3 and Figures 5, 7, 8 and 9
+//! share one training evaluation per sweep, including the model each fold
+//! fitted. Evaluations stay in memory; they are cheap next to a sweep and
+//! deterministic given the dataset.
+//!
 //! The cache key is a stable content hash over everything the dataset
 //! depends on: the cache format version, the dataset kind, the device
 //! profile, the sweep configuration, and the compiled fingerprint of every
@@ -27,10 +35,12 @@ use convmeter::persist;
 use convmeter::prelude::*;
 use convmeter_graph::StableHasher;
 use convmeter_hwsim::{compile, FaultProfile, SweepError};
+use convmeter_linalg::FitError;
 use convmeter_metrics::obs;
 use serde::Serialize;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use super::EngineError;
@@ -198,6 +208,10 @@ enum FetchOutcome {
 
 type SlotMap<P> = Mutex<BTreeMap<String, Arc<OnceLock<Arc<Vec<P>>>>>>;
 
+/// Evaluation memo: a failed fit is memoised too, so every requester of a
+/// key sees the same typed error.
+type EvalSlotMap<E> = Mutex<BTreeMap<String, Arc<OnceLock<Result<Arc<E>, FitError>>>>>;
+
 /// Builds, memoises, and persists benchmark datasets addressed by content.
 pub struct DatasetStore {
     disk_dir: Option<PathBuf>,
@@ -206,6 +220,10 @@ pub struct DatasetStore {
     faults: Option<FaultProfile>,
     inference: SlotMap<InferencePoint>,
     training: SlotMap<TrainingPoint>,
+    inference_evals: EvalSlotMap<InferenceEvaluation>,
+    training_evals: EvalSlotMap<TrainingEvaluation>,
+    /// Leave-one-model-out evaluations actually computed (memo misses).
+    evaluations: AtomicUsize,
     stats: Mutex<BTreeMap<String, DatasetStats>>,
 }
 
@@ -226,6 +244,9 @@ impl DatasetStore {
             faults: faults.filter(|f| !f.is_off()),
             inference: Mutex::new(BTreeMap::new()),
             training: Mutex::new(BTreeMap::new()),
+            inference_evals: Mutex::new(BTreeMap::new()),
+            training_evals: Mutex::new(BTreeMap::new()),
+            evaluations: AtomicUsize::new(0),
             stats: Mutex::new(BTreeMap::new()),
         }
     }
@@ -303,6 +324,82 @@ impl DatasetStore {
             },
             |points| points.iter().flat_map(|p| [p.fwd, p.bwd, p.grad]).collect(),
         )
+    }
+
+    /// The leave-one-model-out evaluation of an inference-like dataset,
+    /// computed once per storage key.
+    pub fn inference_evaluation(
+        &self,
+        spec: &DatasetSpec,
+    ) -> Result<Arc<InferenceEvaluation>, EngineError> {
+        let data = self.inference(spec)?;
+        self.evaluate(&self.inference_evals, spec, || {
+            convmeter::leave_one_model_out_inference(&data)
+        })
+    }
+
+    /// The leave-one-model-out evaluation of a training-like dataset, with
+    /// each fold's fitted model, computed once per storage key.
+    pub fn training_evaluation(
+        &self,
+        spec: &DatasetSpec,
+    ) -> Result<Arc<TrainingEvaluation>, EngineError> {
+        let data = self.training(spec)?;
+        self.evaluate(&self.training_evals, spec, || {
+            convmeter::leave_one_model_out_training_folds(&data)
+        })
+    }
+
+    /// For each of `models`, the training model fitted with it held out:
+    /// that fold of [`DatasetStore::training_evaluation`]. A model the
+    /// dataset does not contain has no fold and is an
+    /// [`EngineError::MissingFold`].
+    pub fn held_out_training_models(
+        &self,
+        spec: &DatasetSpec,
+        models: &[&str],
+    ) -> Result<Vec<TrainingModel>, EngineError> {
+        let eval = self.training_evaluation(spec)?;
+        models
+            .iter()
+            .map(|&model| {
+                eval.held_out(model)
+                    .cloned()
+                    .ok_or_else(|| EngineError::MissingFold {
+                        key: self.storage_key(spec),
+                        model: model.to_string(),
+                    })
+            })
+            .collect()
+    }
+
+    /// How many leave-one-model-out evaluations this store has computed;
+    /// every further request was a memo hit.
+    pub fn evaluations(&self) -> usize {
+        self.evaluations.load(Ordering::Relaxed)
+    }
+
+    fn evaluate<E>(
+        &self,
+        slots: &EvalSlotMap<E>,
+        spec: &DatasetSpec,
+        compute: impl FnOnce() -> Result<E, FitError>,
+    ) -> Result<Arc<E>, EngineError> {
+        let key = self.storage_key(spec);
+        let slot = slots
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .entry(key.clone())
+            .or_default()
+            .clone();
+        // As for datasets, `get_or_init` blocks concurrent requesters of
+        // one key until the first evaluation finishes.
+        slot.get_or_init(|| {
+            self.evaluations.fetch_add(1, Ordering::Relaxed);
+            compute().map(Arc::new)
+        })
+        .clone()
+        .map_err(|source| EngineError::Fit { key, source })
     }
 
     /// Snapshot of per-dataset accounting, keyed by storage key.

@@ -74,9 +74,13 @@ fn fit_subset(
     ErrorReport::compute(&reg.predict_batch(&xs), &ys)
 }
 
-/// Run every ablation on the GPU inference dataset and the distributed
-/// training dataset.
-pub fn run(data: &[InferencePoint], dist: &[TrainingPoint]) -> AblationsResult {
+/// Run every ablation on the GPU inference dataset (with its
+/// leave-one-model-out evaluation) and the distributed training dataset.
+pub fn run(
+    data: &[InferencePoint],
+    held_out: &InferenceEvaluation,
+    dist: &[TrainingPoint],
+) -> AblationsResult {
     let mut outcomes = Vec::new();
 
     // 1. Metric subsets.
@@ -98,10 +102,10 @@ pub fn run(data: &[InferencePoint], dist: &[TrainingPoint]) -> AblationsResult {
     }
 
     // 2. LOOCV vs in-sample.
-    let (_, scatter, held_out) = leave_one_model_out_inference(data).expect("loocv");
+    let (_, scatter, held_out) = held_out;
     for (name, report) in [
         ("in-sample", fit_subset(data, &[0, 1, 2], true, 1e-6)),
-        ("leave-one-model-out", held_out),
+        ("leave-one-model-out", *held_out),
     ] {
         outcomes.push(AblationOutcome {
             name: "generalisation".into(),
@@ -155,7 +159,7 @@ pub fn run(data: &[InferencePoint], dist: &[TrainingPoint]) -> AblationsResult {
     }
 
     // 6. Error breakdown by batch size, on the held-out scatter from (2).
-    for (batch, r) in convmeter::breakdown_by(&scatter, |s| s.batch) {
+    for (batch, r) in convmeter::breakdown_by(scatter, |s| s.batch) {
         outcomes.push(AblationOutcome {
             name: "by-batch".into(),
             variant: batch.to_string(),

@@ -25,11 +25,11 @@ pub struct Table2Result {
     pub overall: ErrorReport,
 }
 
-/// Run the Table 2 / Figure 4 experiment on a block-level benchmark
-/// dataset (see [`crate::blocks::block_dataset`]).
-pub fn table2(blocks: &[InferencePoint]) -> Table2Result {
-    let (mut per_block, scatter, overall) =
-        leave_one_model_out_inference(blocks).expect("block loocv");
+/// Assemble Table 2 from the leave-one-block-out evaluation of a
+/// block-level benchmark dataset (see [`crate::blocks::block_dataset`]).
+pub fn table2(blocks: &InferenceEvaluation) -> Table2Result {
+    let (per_block, scatter, overall) = blocks;
+    let mut per_block = per_block.clone();
     // Order rows as in the paper's Table 2.
     per_block.sort_by_key(|r| {
         TABLE2_BLOCKS
@@ -39,8 +39,8 @@ pub fn table2(blocks: &[InferencePoint]) -> Table2Result {
     });
     Table2Result {
         per_block,
-        scatter,
-        overall,
+        scatter: scatter.clone(),
+        overall: *overall,
     }
 }
 

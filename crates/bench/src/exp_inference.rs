@@ -1,8 +1,9 @@
 //! Inference experiments: Table 1, Figure 2, Figure 3.
 //!
-//! Each experiment takes its benchmark dataset(s) as input — the engine
-//! resolves and caches those — computes a serialisable result, and renders
-//! it as text separately.
+//! Each experiment takes its benchmark dataset(s) and their
+//! leave-one-model-out evaluations as input — the engine resolves and
+//! caches both — computes a serialisable result, and renders it as text
+//! separately.
 
 use crate::report::Table;
 use convmeter::prelude::*;
@@ -34,13 +35,16 @@ fn in_sample_overall(points: &[InferencePoint]) -> ErrorReport {
 }
 
 /// Run Table 1: inference prediction accuracy per ConvNet on the given CPU
-/// and GPU benchmark datasets.
-pub fn table1(cpu_data: &[InferencePoint], gpu_data: &[InferencePoint]) -> Table1Result {
-    let (cpu, _, _) = leave_one_model_out_inference(cpu_data).expect("cpu loocv");
-    let (gpu, _, _) = leave_one_model_out_inference(gpu_data).expect("gpu loocv");
+/// and GPU benchmark datasets and their leave-one-model-out evaluations.
+pub fn table1(
+    cpu_data: &[InferencePoint],
+    cpu_eval: &InferenceEvaluation,
+    gpu_data: &[InferencePoint],
+    gpu_eval: &InferenceEvaluation,
+) -> Table1Result {
     Table1Result {
-        cpu,
-        gpu,
+        cpu: cpu_eval.0.clone(),
+        gpu: gpu_eval.0.clone(),
         cpu_overall: in_sample_overall(cpu_data),
         gpu_overall: in_sample_overall(gpu_data),
     }
@@ -155,16 +159,14 @@ pub struct Fig3Result {
     pub gpu_overall: ErrorReport,
 }
 
-/// Run Figure 3: full scatter of measured vs. predicted inference times on
-/// the given CPU and GPU datasets.
-pub fn fig3(cpu_data: &[InferencePoint], gpu_data: &[InferencePoint]) -> Fig3Result {
-    let (_, cpu_scatter, cpu_overall) = leave_one_model_out_inference(cpu_data).expect("cpu loocv");
-    let (_, gpu_scatter, gpu_overall) = leave_one_model_out_inference(gpu_data).expect("gpu loocv");
+/// Run Figure 3: full scatter of measured vs. predicted inference times
+/// from the CPU and GPU leave-one-model-out evaluations.
+pub fn fig3(cpu_eval: &InferenceEvaluation, gpu_eval: &InferenceEvaluation) -> Fig3Result {
     Fig3Result {
-        cpu_scatter,
-        gpu_scatter,
-        cpu_overall,
-        gpu_overall,
+        cpu_scatter: cpu_eval.1.clone(),
+        gpu_scatter: gpu_eval.1.clone(),
+        cpu_overall: cpu_eval.2,
+        gpu_overall: gpu_eval.2,
     }
 }
 

@@ -59,18 +59,20 @@ fn measure_throughput(
     (mean(&samples), std_dev(&samples))
 }
 
-/// Run Figure 8: throughput vs nodes at image 128, per-device batch 64,
-/// from the distributed benchmark dataset. Each model's predictor is
-/// trained with that model held out.
-pub fn fig8(data: &[TrainingPoint]) -> Vec<ScalingCurve> {
+/// Run Figure 8: throughput vs nodes at image 128, per-device batch 64.
+/// `held_out[i]` predicts `FIG8_MODELS[i]`: the distributed-dataset model
+/// fitted with that ConvNet held out.
+///
+/// # Panics
+/// Panics unless there is one held-out model per [`FIG8_MODELS`] entry.
+pub fn fig8(held_out: &[TrainingModel]) -> Vec<ScalingCurve> {
+    assert_eq!(held_out.len(), FIG8_MODELS.len(), "one model per ConvNet");
     let device = DeviceProfile::a100_80gb();
     let nodes = [1usize, 2, 4, 8, 16];
     let mut curves = Vec::new();
-    for &model in FIG8_MODELS {
-        let train: Vec<TrainingPoint> = data.iter().filter(|p| p.model != model).copied().collect();
-        let fitted = TrainingModel::fit(&train).expect("fig8 fit");
+    for (&model, fitted) in FIG8_MODELS.iter().zip(held_out) {
         let metrics = ModelMetrics::of(&zoo::by_name(model).unwrap().build(128, 1000)).unwrap();
-        let predicted = throughput_vs_nodes(&fitted, &metrics, 64, &nodes, 4);
+        let predicted = throughput_vs_nodes(fitted, &metrics, 64, &nodes, 4);
         let mut measured_mean = Vec::new();
         let mut measured_std = Vec::new();
         for (i, &n) in nodes.iter().enumerate() {
@@ -175,15 +177,18 @@ pub const FIG9_MODELS: &[&str] = &[
 pub const FIG9_BATCHES: &[usize] = &[8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096];
 
 /// Run Figure 9: throughput vs per-device batch at image 128 on one node
-/// (4 GPUs), leave-one-model-out, from the distributed benchmark dataset.
-pub fn fig9(data: &[TrainingPoint]) -> Vec<BatchCurve> {
+/// (4 GPUs). `held_out[i]` predicts `FIG9_MODELS[i]`: the
+/// distributed-dataset model fitted with that ConvNet held out.
+///
+/// # Panics
+/// Panics unless there is one held-out model per [`FIG9_MODELS`] entry.
+pub fn fig9(held_out: &[TrainingModel]) -> Vec<BatchCurve> {
+    assert_eq!(held_out.len(), FIG9_MODELS.len(), "one model per ConvNet");
     let device = DeviceProfile::a100_80gb();
     let mut curves = Vec::new();
-    for &model in FIG9_MODELS {
-        let train: Vec<TrainingPoint> = data.iter().filter(|p| p.model != model).copied().collect();
-        let fitted = TrainingModel::fit(&train).expect("fig9 fit");
+    for (&model, fitted) in FIG9_MODELS.iter().zip(held_out) {
         let metrics = ModelMetrics::of(&zoo::by_name(model).unwrap().build(128, 1000)).unwrap();
-        let predicted = throughput_vs_batch(&fitted, &metrics, FIG9_BATCHES, 1, 4);
+        let predicted = throughput_vs_batch(fitted, &metrics, FIG9_BATCHES, 1, 4);
         let mut measured_mean = Vec::new();
         let mut measured_std = Vec::new();
         for (i, &b) in FIG9_BATCHES.iter().enumerate() {

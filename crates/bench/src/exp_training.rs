@@ -1,5 +1,5 @@
 //! Training experiments: Table 3, Figure 5 (single GPU), Figure 7
-//! (distributed). All take their benchmark dataset as input.
+//! (distributed). All render a leave-one-model-out phase evaluation.
 
 use crate::report::Table;
 use convmeter::prelude::*;
@@ -8,11 +8,13 @@ use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 /// Leave-one-model-out evaluation of all phases on a training dataset
-/// (single-GPU for Figure 5, distributed for Figure 7).
+/// (single-GPU for Figure 5, distributed for Figure 7). The engine's
+/// experiments read the same evaluation memoised in the
+/// [`DatasetStore`](crate::engine::DatasetStore) instead.
 ///
 /// # Panics
-/// Panics if a fold's training fit fails; the registry only feeds it the
-/// fixed in-repo sweep datasets.
+/// Panics if a fold's training fit fails; callers pass the fixed in-repo
+/// sweep datasets.
 pub fn evaluate_phases(points: &[TrainingPoint]) -> TrainingPhasesResult {
     leave_one_model_out_training(points).expect("training fit")
 }
@@ -30,7 +32,9 @@ pub struct Table3Result {
     pub distributed_overall: ErrorReport,
 }
 
-/// Assemble Table 3 from the same evaluations behind Figures 5 and 7.
+/// Assemble Table 3 from two phase evaluations. The engine passes the
+/// store's memoised single-GPU and distributed evaluations, the same ones
+/// Figures 5 and 7 render, so Table 3 refits nothing.
 pub fn table3(single: &TrainingPhasesResult, distributed: &TrainingPhasesResult) -> Table3Result {
     Table3Result {
         single_overall: single.overall,

@@ -1,13 +1,17 @@
 //! Integration tests for the experiment engine: exactly-once dataset
-//! builds, warm-cache byte-identical reruns, and cache-key sensitivity to
-//! every configuration field.
+//! builds and evaluations, warm-cache byte-identical reruns, and cache-key
+//! sensitivity to every configuration field.
 
+use convmeter_bench::engine::registry::{spec_distributed, spec_training};
 use convmeter_bench::engine::{
-    Artifact, DatasetSpec, Engine, EngineConfig, EngineError, Experiment, RunContext, RunOutput,
+    Artifact, DatasetSpec, DatasetStore, Engine, EngineConfig, EngineError, Experiment, RunContext,
+    RunOutput,
 };
+use convmeter_bench::exp_scaling::{FIG8_MODELS, FIG9_MODELS};
 use convmeter_distsim::DistSweepConfig;
 use convmeter_hwsim::{DeviceProfile, SweepConfig};
 use std::path::PathBuf;
+use std::sync::{Arc, Barrier};
 
 fn quick_inference_spec() -> DatasetSpec {
     DatasetSpec::Inference {
@@ -464,4 +468,93 @@ fn artefacts_are_byte_identical_across_job_counts() {
         strip_jobs(without_telemetry(manifests[1].clone())),
         "manifest payload differs between --jobs 1 and --jobs 4"
     );
+}
+
+#[test]
+fn repeated_evaluation_requests_share_one_result() {
+    let store = DatasetStore::new(None);
+    let spec = quick_inference_spec();
+    let first = store.inference_evaluation(&spec).expect("evaluates");
+    let again = store.inference_evaluation(&spec).expect("memo hit");
+    assert!(Arc::ptr_eq(&first, &again));
+    let training = store
+        .training_evaluation(&spec_training())
+        .expect("evaluates");
+    let training_again = store
+        .training_evaluation(&spec_training())
+        .expect("memo hit");
+    assert!(Arc::ptr_eq(&training, &training_again));
+    assert_eq!(store.evaluations(), 2);
+    // The memoised evaluation is the evaluator's own result.
+    let fresh = convmeter::leave_one_model_out_inference(&store.inference(&spec).unwrap()).unwrap();
+    assert_eq!(
+        serde_json::to_string(&first.1).unwrap(),
+        serde_json::to_string(&fresh.1).unwrap()
+    );
+}
+
+#[test]
+fn concurrent_requests_get_one_evaluation() {
+    let store = DatasetStore::new(None);
+    let spec = spec_training();
+    let barrier = Barrier::new(2);
+    let (a, b) = std::thread::scope(|s| {
+        let request = || {
+            barrier.wait();
+            store.training_evaluation(&spec).expect("evaluates")
+        };
+        let a = s.spawn(request);
+        let b = s.spawn(request);
+        (a.join().unwrap(), b.join().unwrap())
+    });
+    assert!(Arc::ptr_eq(&a, &b));
+    assert_eq!(store.evaluations(), 1);
+}
+
+#[test]
+fn held_out_models_are_the_evaluation_folds() {
+    let store = DatasetStore::new(None);
+    let spec = spec_distributed();
+    let data = store.training(&spec).expect("sweep");
+    for models in [FIG8_MODELS, FIG9_MODELS] {
+        let held_out = store
+            .held_out_training_models(&spec, models)
+            .expect("every figure model is in the sweep");
+        for (&model, fold) in models.iter().zip(&held_out) {
+            let train: Vec<_> = data.iter().filter(|p| p.model != model).copied().collect();
+            let fresh = convmeter::TrainingModel::fit(&train).expect("fits");
+            assert_eq!(
+                serde_json::to_string(fold).unwrap(),
+                serde_json::to_string(&fresh).unwrap(),
+                "fold {model}"
+            );
+        }
+    }
+    assert_eq!(store.evaluations(), 1);
+}
+
+#[test]
+fn a_model_without_a_fold_is_a_typed_error() {
+    let store = DatasetStore::new(None);
+    let err = store
+        .held_out_training_models(&spec_distributed(), &["resnet18", "no_such_net"])
+        .unwrap_err();
+    assert!(
+        matches!(err, EngineError::MissingFold { ref model, .. } if model == "no_such_net"),
+        "{err}"
+    );
+}
+
+#[test]
+fn a_failed_evaluation_is_a_memoised_typed_error() {
+    // The quick distributed sweep leaves folds with fewer rows than the
+    // fused model's 7 unknowns.
+    let store = DatasetStore::new(None);
+    for _ in 0..2 {
+        let err = store
+            .training_evaluation(&quick_distributed_spec())
+            .unwrap_err();
+        assert!(matches!(err, EngineError::Fit { .. }), "{err}");
+    }
+    assert_eq!(store.evaluations(), 1);
 }

@@ -40,13 +40,17 @@ pub struct ScatterPoint {
     pub predicted: f64,
 }
 
+/// A leave-one-model-out inference evaluation: per-model reports, every
+/// held-out scatter point, and the overall report across them.
+pub type InferenceEvaluation = (Vec<PerModelReport>, Vec<ScatterPoint>, ErrorReport);
+
 /// Leave-one-model-out evaluation of the inference model.
 ///
 /// Returns per-model reports plus all held-out scatter points, and the
 /// overall report across every held-out prediction.
 pub fn leave_one_model_out_inference(
     points: &[InferencePoint],
-) -> Result<(Vec<PerModelReport>, Vec<ScatterPoint>, ErrorReport), FitError> {
+) -> Result<InferenceEvaluation, FitError> {
     let _span = obs::span!("convmeter.eval");
     let groups: Vec<&str> = points.iter().map(|p| p.model.as_str()).collect();
     let splits = LeaveOneGroupOut::splits(&groups);
@@ -107,11 +111,42 @@ pub struct TrainingPhasesResult {
     pub overall: ErrorReport,
 }
 
+/// A leave-one-model-out training evaluation together with the model each
+/// fold fitted.
+#[derive(Debug, Clone)]
+pub struct TrainingEvaluation {
+    /// The phase scatters and per-model reports.
+    pub phases: TrainingPhasesResult,
+    /// The model fitted with `phases.per_model[i].model` held out, for
+    /// every `i`.
+    pub folds: Vec<TrainingModel>,
+}
+
+impl TrainingEvaluation {
+    /// The model fitted without `model`'s points, or `None` when the
+    /// dataset has no points of `model`.
+    pub fn held_out(&self, model: &str) -> Option<&TrainingModel> {
+        let i = self
+            .phases
+            .per_model
+            .iter()
+            .position(|r| r.model == model)?;
+        self.folds.get(i)
+    }
+}
+
 /// Leave-one-model-out evaluation of the training model, phase by phase:
 /// forward, backward, gradient update, and the full step (Eq. 1).
 pub fn leave_one_model_out_training(
     points: &[TrainingPoint],
 ) -> Result<TrainingPhasesResult, FitError> {
+    leave_one_model_out_training_folds(points).map(|eval| eval.phases)
+}
+
+/// [`leave_one_model_out_training`], keeping each fold's fitted model.
+pub fn leave_one_model_out_training_folds(
+    points: &[TrainingPoint],
+) -> Result<TrainingEvaluation, FitError> {
     let _span = obs::span!("convmeter.eval");
     let groups: Vec<&str> = points.iter().map(|p| p.model.as_str()).collect();
     let splits = LeaveOneGroupOut::splits(&groups);
@@ -123,6 +158,7 @@ pub fn leave_one_model_out_training(
         Vec::with_capacity(n),
     );
     let mut per_model = Vec::with_capacity(splits.len());
+    let mut folds = Vec::with_capacity(splits.len());
     let mut train = Vec::with_capacity(n);
     let mut step_pred = Vec::with_capacity(n);
     let mut step_meas = Vec::with_capacity(n);
@@ -152,6 +188,7 @@ pub fn leave_one_model_out_training(
             model: model_name.to_string(),
             report: ErrorReport::compute(&step_pred, &step_meas),
         });
+        folds.push(fitted);
     }
     let to_scatter = |phase: &str, pts: Vec<(ModelId, f64, f64)>| {
         let meas: Vec<f64> = pts.iter().map(|p| p.1).collect();
@@ -164,15 +201,18 @@ pub fn leave_one_model_out_training(
     };
     let step = to_scatter("step", step);
     let overall = step.report;
-    Ok(TrainingPhasesResult {
-        phases: vec![
-            to_scatter("forward", fwd),
-            to_scatter("backward", bwd),
-            to_scatter("grad_update", grad),
-            step,
-        ],
-        per_model,
-        overall,
+    Ok(TrainingEvaluation {
+        phases: TrainingPhasesResult {
+            phases: vec![
+                to_scatter("forward", fwd),
+                to_scatter("backward", bwd),
+                to_scatter("grad_update", grad),
+                step,
+            ],
+            per_model,
+            overall,
+        },
+        folds,
     })
 }
 

@@ -57,7 +57,8 @@ pub use dataset::{
 };
 pub use eval::{
     breakdown_by, kfold_inference, leave_one_model_out_inference, leave_one_model_out_training,
-    PerModelReport, PhaseScatter, ScatterPoint, TrainingPhasesResult,
+    leave_one_model_out_training_folds, InferenceEvaluation, PerModelReport, PhaseScatter,
+    ScatterPoint, TrainingEvaluation, TrainingPhasesResult,
 };
 pub use forward::ForwardModel;
 pub use model_lint::{lint_design_matrix, lint_forward_model, lint_measured_times};
@@ -73,8 +74,9 @@ pub mod prelude {
         distributed_dataset, inference_dataset, training_dataset, InferencePoint, TrainingPoint,
     };
     pub use crate::eval::{
-        leave_one_model_out_inference, leave_one_model_out_training, PerModelReport, PhaseScatter,
-        ScatterPoint, TrainingPhasesResult,
+        leave_one_model_out_inference, leave_one_model_out_training,
+        leave_one_model_out_training_folds, InferenceEvaluation, PerModelReport, PhaseScatter,
+        ScatterPoint, TrainingEvaluation, TrainingPhasesResult,
     };
     pub use crate::forward::ForwardModel;
     pub use crate::scalability::{

@@ -82,19 +82,22 @@ pub struct TrainingModel {
 impl TrainingModel {
     /// Fit every component from a training dataset (single- and/or
     /// multi-node points).
+    ///
+    /// The forward and backward models share one factorisation of the
+    /// forward design. The all-data fused model is fitted only when a
+    /// regime has too few rows and falls back to it; a regime that holds
+    /// every point already is that fit.
     pub fn fit(points: &[TrainingPoint]) -> Result<Self, FitError> {
         let _span = obs::span!("convmeter.fit.training");
         let fwd_xs: Vec<Vec<f64>> = points
             .iter()
             .map(|p| forward_features(&p.metrics))
             .collect();
-        let fit_fio = |ys: &[f64]| {
-            LinearRegression::new()
-                .with_ridge(DEFAULT_RIDGE)
-                .fit(&fwd_xs, ys)
-        };
-        let forward = fit_fio(&points.iter().map(|p| p.fwd).collect::<Vec<_>>())?;
-        let backward = fit_fio(&points.iter().map(|p| p.bwd).collect::<Vec<_>>())?;
+        let fwd_ys: Vec<f64> = points.iter().map(|p| p.fwd).collect();
+        let bwd_ys: Vec<f64> = points.iter().map(|p| p.bwd).collect();
+        let [forward, backward] = LinearRegression::new()
+            .with_ridge(DEFAULT_RIDGE)
+            .fit_targets(&fwd_xs, [&fwd_ys, &bwd_ys])?;
         let grad = GradUpdateModel::fit(points)?;
 
         // The fused model is fitted on the *sum* of the measured backward
@@ -111,22 +114,27 @@ impl TrainingModel {
                 .with_ridge(DEFAULT_RIDGE)
                 .fit(&xs, &ys)
         };
-        let all: Vec<&TrainingPoint> = points.iter().collect();
-        let fused_all = fit_fused(&all)?;
         let single_pts: Vec<&TrainingPoint> = points.iter().filter(|p| p.nodes == 1).collect();
         let multi_pts: Vec<&TrainingPoint> = points.iter().filter(|p| p.nodes > 1).collect();
         // Each regime needs enough rows for the 7 unknowns; otherwise fall
         // back to the all-data fit.
         let min_rows = 8;
-        let fused_single = if single_pts.len() >= min_rows {
-            fit_fused(&single_pts)?
-        } else {
-            fused_all.clone()
-        };
-        let fused_multi = if multi_pts.len() >= min_rows {
-            fit_fused(&multi_pts)?
-        } else {
-            fused_all
+        let fit_regime =
+            |pts: &[&TrainingPoint]| (pts.len() >= min_rows).then(|| fit_fused(pts)).transpose();
+        let single = fit_regime(&single_pts)?;
+        let multi = fit_regime(&multi_pts)?;
+        let (fused_single, fused_multi) = match (single, multi) {
+            (Some(single), Some(multi)) => (single, multi),
+            // A regime that holds every point already is the all-data fit.
+            (Some(single), None) if single_pts.len() == points.len() => (single.clone(), single),
+            (None, Some(multi)) if multi_pts.len() == points.len() => (multi.clone(), multi),
+            (single, multi) => {
+                let fused_all = fit_fused(&points.iter().collect::<Vec<_>>())?;
+                (
+                    single.unwrap_or_else(|| fused_all.clone()),
+                    multi.unwrap_or(fused_all),
+                )
+            }
         };
 
         Ok(Self {
@@ -322,6 +330,76 @@ mod tests {
 
     fn r18_metrics() -> ModelMetrics {
         ModelMetrics::of(&by_name("resnet18").unwrap().build(128, 1000)).unwrap()
+    }
+
+    /// Every component fitted on its own, the all-data fused model always
+    /// included: the oracle for the shared factorisation and the fallback
+    /// reuse in [`TrainingModel::fit`].
+    fn fit_component_by_component(points: &[TrainingPoint]) -> TrainingModel {
+        let fwd_xs: Vec<Vec<f64>> = points
+            .iter()
+            .map(|p| forward_features(&p.metrics))
+            .collect();
+        let fit = |xs: &[Vec<f64>], ys: Vec<f64>| {
+            LinearRegression::new()
+                .with_ridge(DEFAULT_RIDGE)
+                .fit(xs, &ys)
+                .unwrap()
+        };
+        let fused = |pts: Vec<&TrainingPoint>| {
+            let xs: Vec<Vec<f64>> = pts
+                .iter()
+                .map(|p| bwd_grad_features(&p.metrics, p.nodes))
+                .collect();
+            fit(&xs, pts.iter().map(|p| p.bwd + p.grad).collect())
+        };
+        let fused_all = fused(points.iter().collect());
+        let single: Vec<&TrainingPoint> = points.iter().filter(|p| p.nodes == 1).collect();
+        let multi: Vec<&TrainingPoint> = points.iter().filter(|p| p.nodes > 1).collect();
+        TrainingModel {
+            forward: fit(&fwd_xs, points.iter().map(|p| p.fwd).collect()),
+            backward: fit(&fwd_xs, points.iter().map(|p| p.bwd).collect()),
+            grad: GradUpdateModel::fit(points).unwrap(),
+            fused_single: if single.len() >= 8 {
+                fused(single)
+            } else {
+                fused_all.clone()
+            },
+            fused_multi: if multi.len() >= 8 {
+                fused(multi)
+            } else {
+                fused_all
+            },
+        }
+    }
+
+    #[test]
+    fn fit_matches_component_by_component_fits_bitwise() {
+        let single = single_node_data();
+        let multi_only: Vec<TrainingPoint> = multi_node_data()
+            .into_iter()
+            .filter(|p| p.nodes > 1)
+            .collect();
+        let both: Vec<TrainingPoint> = single.iter().chain(&multi_only).copied().collect();
+        // (single-node rows, multi-node rows) per case: the single-node
+        // regime is all the data; the multi-node one is; both regimes fit
+        // on their own; the single-node regime falls back to the all-data
+        // fit.
+        let cases = [
+            (single, (18, 0)),
+            (multi_only.clone(), (0, 8)),
+            (both, (18, 8)),
+            (multi_node_data(), (4, 8)),
+        ];
+        for (data, (n_single, n_multi)) in cases {
+            assert_eq!(data.iter().filter(|p| p.nodes == 1).count(), n_single);
+            assert_eq!(data.iter().filter(|p| p.nodes > 1).count(), n_multi);
+            assert_eq!(
+                format!("{:?}", TrainingModel::fit(&data).unwrap()),
+                format!("{:?}", fit_component_by_component(&data)),
+                "{n_single} single-node + {n_multi} multi-node rows"
+            );
+        }
     }
 
     #[test]

@@ -45,12 +45,20 @@ impl std::error::Error for QrError {}
 
 /// The compact result of a Householder QR factorisation.
 ///
-/// `qr` stores `R` in the upper triangle and the essential parts of the
-/// Householder vectors below the diagonal; `beta` stores the scalar factors.
+/// `qr` holds the factored matrix column by column: column `k` is
+/// `qr[k * rows..(k + 1) * rows]`, with `R` on and above the diagonal and
+/// the essential part of the `k`-th Householder vector below it. Every
+/// inner loop of the factorisation and of [`HouseholderQr::solve`] walks
+/// one column, so it reads contiguous memory. `beta` stores the scalar
+/// factors.
 #[derive(Debug, Clone)]
 pub struct HouseholderQr {
-    qr: Matrix,
+    qr: Vec<f64>,
+    rows: usize,
     beta: Vec<f64>,
+    /// Rank tolerance of [`HouseholderQr::solve`]: a diagonal entry of `R`
+    /// at or below it counts as zero.
+    tol: f64,
 }
 
 impl HouseholderQr {
@@ -62,92 +70,115 @@ impl HouseholderQr {
             return Err(QrError::Underdetermined { rows: m, cols: n });
         }
         convmeter_obs::histogram!("linalg.qr.rows").record(m as u64);
-        let mut qr = a.clone();
+        let mut qr: Vec<f64> = (0..n)
+            .flat_map(|c| (0..m).map(move |r| a[(r, c)]))
+            .collect();
         let mut beta = vec![0.0; n];
         for k in 0..n {
-            // Compute the Householder vector for column k, rows k..m.
+            let (done, trailing) = qr.split_at_mut((k + 1) * m);
+            let col = &mut done[k * m..];
+            // Compute the Householder vector for column k, rows k..m. The
+            // serial `hypot` chain is the bulk of the factorisation's cost;
+            // its order is part of every pinned result.
             let mut norm = 0.0f64;
-            for i in k..m {
-                norm = norm.hypot(qr[(i, k)]);
+            for &x in &col[k..] {
+                norm = norm.hypot(x);
             }
             if norm == 0.0 {
                 beta[k] = 0.0;
                 continue;
             }
-            let alpha = if qr[(k, k)] >= 0.0 { -norm } else { norm };
-            let v0 = qr[(k, k)] - alpha;
+            let (head, v) = col.split_at_mut(k + 1);
+            let alpha = if head[k] >= 0.0 { -norm } else { norm };
+            let v0 = head[k] - alpha;
             // Normalise so v[k] = 1 implicitly; store v[k+1..] scaled by 1/v0.
-            for i in (k + 1)..m {
-                qr[(i, k)] /= v0;
+            for x in v.iter_mut() {
+                *x /= v0;
             }
             beta[k] = -v0 / alpha;
-            qr[(k, k)] = alpha;
+            head[k] = alpha;
+            let v = &*v;
             // Apply the reflector to the trailing columns.
-            for j in (k + 1)..n {
-                let mut s = qr[(k, j)];
-                for i in (k + 1)..m {
-                    s += qr[(i, k)] * qr[(i, j)];
+            for target in trailing.chunks_exact_mut(m) {
+                let (head, tail) = target.split_at_mut(k + 1);
+                let mut s = head[k];
+                for (&vi, &xi) in v.iter().zip(tail.iter()) {
+                    s += vi * xi;
                 }
                 s *= beta[k];
-                qr[(k, j)] -= s;
-                for i in (k + 1)..m {
-                    let vik = qr[(i, k)];
-                    qr[(i, j)] -= s * vik;
+                head[k] -= s;
+                for (xi, &vi) in tail.iter_mut().zip(v) {
+                    *xi -= s * vi;
                 }
             }
         }
-        Ok(Self { qr, beta })
+        // Scale-aware singularity test: a diagonal entry is "zero" when it
+        // is negligible relative to the matrix magnitude.
+        let max_abs = qr.iter().fold(0.0f64, |acc, &x| acc.max(x.abs()));
+        let tol = f64::EPSILON * (m as f64) * max_abs.max(1e-300);
+        Ok(Self {
+            qr,
+            rows: m,
+            beta,
+            tol,
+        })
     }
 
     /// Number of unknowns (columns of the factored matrix).
     pub fn cols(&self) -> usize {
-        self.qr.cols()
+        self.beta.len()
+    }
+
+    /// Column `k` of the factored matrix.
+    fn col(&self, k: usize) -> &[f64] {
+        &self.qr[k * self.rows..(k + 1) * self.rows]
     }
 
     /// The diagonal of `R` (signed). Because `|r_kk|` measures how much of
     /// column `k` is linearly independent of the columns before it, the
     /// spread of these magnitudes is a cheap conditioning probe.
     pub fn r_diagonal(&self) -> Vec<f64> {
-        (0..self.qr.cols()).map(|k| self.qr[(k, k)]).collect()
+        (0..self.cols()).map(|k| self.col(k)[k]).collect()
     }
 
     /// Solve `min ||A x - b||` for `x` given the factorisation of `A`.
     ///
+    /// Rank deficiency is a property of `A` alone: either every right-hand
+    /// side solves or every one fails with the same column.
+    ///
     /// # Panics
     /// Panics if `b.len()` differs from the factored matrix's row count.
-    #[allow(clippy::needless_range_loop)] // lockstep indexing into qr and y/x
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, QrError> {
         let _span = convmeter_obs::span!("linalg.qr.solve");
-        let (m, n) = (self.qr.rows(), self.qr.cols());
-        assert_eq!(b.len(), m, "rhs length mismatch");
+        let n = self.cols();
+        assert_eq!(b.len(), self.rows, "rhs length mismatch");
         let mut y = b.to_vec();
         // Apply Qᵀ to b.
         for k in 0..n {
             if self.beta[k] == 0.0 {
                 continue;
             }
-            let mut s = y[k];
-            for i in (k + 1)..m {
-                s += self.qr[(i, k)] * y[i];
+            let (_, v) = self.col(k).split_at(k + 1);
+            let (head, tail) = y.split_at_mut(k + 1);
+            let mut s = head[k];
+            for (&vi, &yi) in v.iter().zip(tail.iter()) {
+                s += vi * yi;
             }
             s *= self.beta[k];
-            y[k] -= s;
-            for i in (k + 1)..m {
-                y[i] -= s * self.qr[(i, k)];
+            head[k] -= s;
+            for (yi, &vi) in tail.iter_mut().zip(v) {
+                *yi -= s * vi;
             }
         }
         // Back-substitute through R.
         let mut x = vec![0.0; n];
         for k in (0..n).rev() {
             let mut s = y[k];
-            for j in (k + 1)..n {
-                s -= self.qr[(k, j)] * x[j];
+            for (j, &xj) in x.iter().enumerate().skip(k + 1) {
+                s -= self.col(j)[k] * xj;
             }
-            let rkk = self.qr[(k, k)];
-            // Scale-aware singularity test: a diagonal entry is "zero" when it
-            // is negligible relative to the matrix magnitude.
-            let tol = f64::EPSILON * (m as f64) * self.qr.max_abs().max(1e-300);
-            if rkk.abs() <= tol {
+            let rkk = self.col(k)[k];
+            if rkk.abs() <= self.tol {
                 return Err(QrError::RankDeficient { column: k });
             }
             x[k] = s / rkk;
@@ -185,25 +216,235 @@ pub fn lstsq(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, QrError> {
 /// by augmenting the system with `sqrt(lambda) * I` rows. `lambda = 0`
 /// reduces exactly to [`lstsq`].
 pub fn ridge_lstsq(a: &Matrix, b: &[f64], lambda: f64) -> Result<Vec<f64>, QrError> {
+    let [x] = ridge_lstsq_many(a, [b], lambda)?;
+    Ok(x)
+}
+
+/// [`ridge_lstsq`] for several right-hand sides against one factorisation
+/// of the (augmented) design. Each solution is bit-identical to the
+/// one-target call: the factorisation does not depend on `b`.
+pub fn ridge_lstsq_many<const N: usize>(
+    a: &Matrix,
+    bs: [&[f64]; N],
+    lambda: f64,
+) -> Result<[Vec<f64>; N], QrError> {
     assert!(lambda >= 0.0, "ridge lambda must be non-negative");
-    if lambda == 0.0 {
-        return lstsq(a, b);
-    }
     let n = a.cols();
-    let mut reg = Matrix::zeros(n, n);
-    let s = lambda.sqrt();
-    for i in 0..n {
-        reg[(i, i)] = s;
+    let qr = if lambda == 0.0 {
+        HouseholderQr::new(a)?
+    } else {
+        let mut reg = Matrix::zeros(n, n);
+        let s = lambda.sqrt();
+        for i in 0..n {
+            reg[(i, i)] = s;
+        }
+        HouseholderQr::new(&a.vstack(&reg))?
+    };
+    let mut solutions = [(); N].map(|()| Vec::new());
+    let mut rhs = Vec::with_capacity(qr.rows);
+    for (x, b) in solutions.iter_mut().zip(bs) {
+        assert_eq!(b.len(), a.rows(), "rhs length mismatch");
+        rhs.clear();
+        rhs.extend_from_slice(b);
+        rhs.resize(qr.rows, 0.0);
+        *x = qr.solve(&rhs)?;
     }
-    let aug = a.vstack(&reg);
-    let mut rhs = b.to_vec();
-    rhs.extend(std::iter::repeat_n(0.0, n));
-    lstsq(&aug, &rhs)
+    Ok(solutions)
+}
+
+/// The row-major factor/solve that [`HouseholderQr`] replaced, kept as the
+/// oracle its results must match bit for bit.
+#[cfg(test)]
+mod reference {
+    use super::{Matrix, QrError};
+
+    pub fn factor(a: &Matrix) -> (Matrix, Vec<f64>) {
+        let (m, n) = (a.rows(), a.cols());
+        let mut qr = a.clone();
+        let mut beta = vec![0.0; n];
+        for k in 0..n {
+            let mut norm = 0.0f64;
+            for i in k..m {
+                norm = norm.hypot(qr[(i, k)]);
+            }
+            if norm == 0.0 {
+                beta[k] = 0.0;
+                continue;
+            }
+            let alpha = if qr[(k, k)] >= 0.0 { -norm } else { norm };
+            let v0 = qr[(k, k)] - alpha;
+            for i in (k + 1)..m {
+                qr[(i, k)] /= v0;
+            }
+            beta[k] = -v0 / alpha;
+            qr[(k, k)] = alpha;
+            for j in (k + 1)..n {
+                let mut s = qr[(k, j)];
+                for i in (k + 1)..m {
+                    s += qr[(i, k)] * qr[(i, j)];
+                }
+                s *= beta[k];
+                qr[(k, j)] -= s;
+                for i in (k + 1)..m {
+                    let vik = qr[(i, k)];
+                    qr[(i, j)] -= s * vik;
+                }
+            }
+        }
+        (qr, beta)
+    }
+
+    #[allow(clippy::needless_range_loop)]
+    pub fn solve(qr: &Matrix, beta: &[f64], b: &[f64]) -> Result<Vec<f64>, QrError> {
+        let (m, n) = (qr.rows(), qr.cols());
+        let mut y = b.to_vec();
+        for k in 0..n {
+            if beta[k] == 0.0 {
+                continue;
+            }
+            let mut s = y[k];
+            for i in (k + 1)..m {
+                s += qr[(i, k)] * y[i];
+            }
+            s *= beta[k];
+            y[k] -= s;
+            for i in (k + 1)..m {
+                y[i] -= s * qr[(i, k)];
+            }
+        }
+        let mut x = vec![0.0; n];
+        for k in (0..n).rev() {
+            let mut s = y[k];
+            for j in (k + 1)..n {
+                s -= qr[(k, j)] * x[j];
+            }
+            let rkk = qr[(k, k)];
+            let tol = f64::EPSILON * (m as f64) * qr.max_abs().max(1e-300);
+            if rkk.abs() <= tol {
+                return Err(QrError::RankDeficient { column: k });
+            }
+            x[k] = s / rkk;
+        }
+        Ok(x)
+    }
+
+    pub fn lstsq(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, QrError> {
+        let (qr, beta) = factor(a);
+        solve(&qr, &beta, b)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn bits(x: &[f64]) -> Vec<u64> {
+        x.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A deterministic `rows x cols` matrix and right-hand side with
+    /// columns of very different scales, like a ConvMeter design.
+    fn scaled_system(rows: usize, cols: usize) -> (Matrix, Vec<f64>) {
+        let mut data = Vec::with_capacity(rows * cols);
+        let mut b = Vec::with_capacity(rows);
+        for i in 0..rows {
+            let t = i as f64 + 1.0;
+            for j in 0..cols {
+                let scale = 10f64.powi(3 * j as i32 % 13);
+                data.push(((t * (j as f64 + 0.7)).sin() + 1.5 + t * 1e-3) * scale);
+            }
+            b.push((t * 0.31).cos() * 4.0 + t * 0.01);
+        }
+        (Matrix::from_vec(rows, cols, data), b)
+    }
+
+    fn assert_matches_reference(a: &Matrix, b: &[f64]) {
+        let (qr, beta) = reference::factor(a);
+        let want = reference::solve(&qr, &beta, b);
+        let fact = HouseholderQr::new(a).unwrap();
+        assert_eq!(
+            bits(&fact.r_diagonal()),
+            bits(&(0..a.cols()).map(|k| qr[(k, k)]).collect::<Vec<_>>())
+        );
+        match (fact.solve(b), want) {
+            (Ok(got), Ok(want)) => assert_eq!(bits(&got), bits(&want)),
+            (got, want) => assert_eq!(got, want),
+        }
+    }
+
+    #[test]
+    fn column_major_matches_row_major_reference_bitwise() {
+        for (rows, cols) in [(2, 2), (5, 3), (40, 4), (333, 6)] {
+            let (a, b) = scaled_system(rows, cols);
+            assert_matches_reference(&a, &b);
+        }
+    }
+
+    #[test]
+    fn column_scaled_1000x7_matches_reference_bitwise() {
+        // The regression path divides every column by its max |x| first.
+        let (a, b) = scaled_system(1000, 7);
+        let mut scaled = a.clone();
+        for c in 0..a.cols() {
+            let m = a.col(c).iter().fold(0.0f64, |acc, &x| acc.max(x.abs()));
+            for r in 0..a.rows() {
+                scaled[(r, c)] /= m;
+            }
+        }
+        assert_matches_reference(&scaled, &b);
+    }
+
+    #[test]
+    fn ridge_augmented_matches_reference_bitwise() {
+        let (a, b) = scaled_system(120, 6);
+        for lambda in [0.0f64, 1e-9, 1e-3, 1.0] {
+            let n = a.cols();
+            let mut reg = Matrix::zeros(n, n);
+            for i in 0..n {
+                reg[(i, i)] = lambda.sqrt();
+            }
+            let mut rhs = b.clone();
+            let want = if lambda == 0.0 {
+                reference::lstsq(&a, &b)
+            } else {
+                rhs.extend(std::iter::repeat_n(0.0, n));
+                reference::lstsq(&a.vstack(&reg), &rhs)
+            };
+            let got = ridge_lstsq(&a, &b, lambda).unwrap();
+            assert_eq!(bits(&got), bits(&want.unwrap()), "lambda {lambda}");
+        }
+    }
+
+    #[test]
+    fn rank_deficiency_matches_reference() {
+        // Column 2 is exactly column 0 plus column 1.
+        let rows: Vec<Vec<f64>> = (1..30)
+            .map(|i| {
+                let t = i as f64;
+                vec![t, (t * 0.7).sin(), t + (t * 0.7).sin(), t * t]
+            })
+            .collect();
+        let a = Matrix::from_rows(&rows);
+        let b: Vec<f64> = (1..30).map(|i| i as f64).collect();
+        let want = reference::lstsq(&a, &b);
+        assert!(
+            matches!(want, Err(QrError::RankDeficient { .. })),
+            "{want:?}"
+        );
+        assert_eq!(lstsq(&a, &b), want);
+        assert_matches_reference(&a, &b);
+    }
+
+    #[test]
+    fn many_targets_match_separate_solves_bitwise() {
+        let (a, b1) = scaled_system(200, 5);
+        let b2: Vec<f64> = b1.iter().map(|y| y * y - 1.0).collect();
+        for lambda in [0.0, 1e-9] {
+            let [x1, x2] = ridge_lstsq_many(&a, [&b1, &b2], lambda).unwrap();
+            assert_eq!(bits(&x1), bits(&ridge_lstsq(&a, &b1, lambda).unwrap()));
+            assert_eq!(bits(&x2), bits(&ridge_lstsq(&a, &b2, lambda).unwrap()));
+        }
+    }
 
     fn assert_close(a: &[f64], b: &[f64], tol: f64) {
         assert_eq!(a.len(), b.len());

@@ -123,10 +123,24 @@ impl LinearRegression {
 
     /// Fit the model on feature rows `xs` and targets `ys`, consuming the
     /// builder and returning the fitted model.
-    pub fn fit(mut self, xs: &[Vec<f64>], ys: &[f64]) -> Result<Self, FitError> {
+    pub fn fit(self, xs: &[Vec<f64>], ys: &[f64]) -> Result<Self, FitError> {
+        let [fitted] = self.fit_targets(xs, [ys])?;
+        Ok(fitted)
+    }
+
+    /// Fit one model per target against the same feature rows `xs`,
+    /// factoring the design once. Each model is bit-identical to a separate
+    /// [`LinearRegression::fit`] on its target.
+    pub fn fit_targets<const N: usize>(
+        self,
+        xs: &[Vec<f64>],
+        targets: [&[f64]; N],
+    ) -> Result<[Self; N], FitError> {
         let _span = convmeter_obs::span!("linalg.fit");
-        convmeter_obs::counter!("linalg.fits").inc();
-        assert_eq!(xs.len(), ys.len(), "xs/ys length mismatch");
+        convmeter_obs::counter!("linalg.fits").add(N as u64);
+        for ys in targets {
+            assert_eq!(xs.len(), ys.len(), "xs/ys length mismatch");
+        }
         let n_features = xs.first().map_or(0, std::vec::Vec::len);
         if xs.iter().any(|r| r.len() != n_features) {
             return Err(FitError::RaggedFeatures);
@@ -158,7 +172,7 @@ impl LinearRegression {
                 *scale = m;
             }
         }
-        let mut scaled = design.clone();
+        let mut scaled = design;
         for r in 0..scaled.rows() {
             let row = scaled.row_mut(r);
             for (c, v) in row.iter_mut().enumerate() {
@@ -166,16 +180,19 @@ impl LinearRegression {
             }
         }
 
-        let solution = qr::ridge_lstsq(&scaled, ys, self.ridge_lambda)?;
-        let mut coefs: Vec<f64> = solution.iter().zip(&scales).map(|(b, s)| b / s).collect();
-        self.intercept = if self.with_intercept {
-            // analyzer:allow(CA0004, reason = "with_intercept appended the column, so the solution includes its coefficient")
-            coefs.pop().expect("intercept column present")
-        } else {
-            0.0
-        };
-        self.coefficients = coefs;
-        Ok(self)
+        let solutions = qr::ridge_lstsq_many(&scaled, targets, self.ridge_lambda)?;
+        Ok(solutions.map(|mut coefs| {
+            for (b, s) in coefs.iter_mut().zip(&scales) {
+                *b /= s;
+            }
+            let intercept = if self.with_intercept {
+                // analyzer:allow(CA0004, reason = "with_intercept appended the column, so the solution includes its coefficient")
+                coefs.pop().expect("intercept column present")
+            } else {
+                0.0
+            };
+            Self::from_parts(self.with_intercept, self.ridge_lambda, coefs, intercept)
+        }))
     }
 
     /// Fit and return both the fitted model and a [`FitSummary`] with
@@ -234,9 +251,10 @@ impl LinearRegression {
         self.with_intercept
     }
 
-    /// Assemble a fitted model from explicit parts. Used by the robust
-    /// fitting path ([`crate::robust`]), which solves for the coefficients
-    /// through its own weighted design matrix.
+    /// Assemble a fitted model from explicit parts. Used by
+    /// [`LinearRegression::fit_targets`] and by the robust fitting path
+    /// ([`crate::robust`]), which solves for the coefficients through its
+    /// own weighted design matrix.
     pub(crate) fn from_parts(
         with_intercept: bool,
         ridge_lambda: f64,
@@ -379,6 +397,29 @@ mod tests {
         let (xs, ys) = synthetic(&[1.0, 2.0], 0.0, 10);
         let m = LinearRegression::new().fit(&xs, &ys).unwrap();
         let _ = m.predict(&[1.0]);
+    }
+
+    #[test]
+    fn fit_targets_matches_separate_fits_bitwise() {
+        let (xs, ys) = synthetic(&[1.5, -2.0, 0.25], 7.0, 80);
+        let noisy: Vec<f64> = ys
+            .iter()
+            .enumerate()
+            .map(|(i, y)| y * (1.0 + 0.01 * (i as f64 * 0.9).sin()))
+            .collect();
+        let bits = |m: &LinearRegression| {
+            let mut b: Vec<u64> = m.coefficients().iter().map(|c| c.to_bits()).collect();
+            b.push(m.intercept().to_bits());
+            b
+        };
+        for (intercept, ridge) in [(true, 0.0), (true, 1e-9), (false, 1e-6)] {
+            let builder = LinearRegression::new()
+                .with_intercept(intercept)
+                .with_ridge(ridge);
+            let [a, b] = builder.clone().fit_targets(&xs, [&ys, &noisy]).unwrap();
+            assert_eq!(bits(&a), bits(&builder.clone().fit(&xs, &ys).unwrap()));
+            assert_eq!(bits(&b), bits(&builder.clone().fit(&xs, &noisy).unwrap()));
+        }
     }
 
     #[test]

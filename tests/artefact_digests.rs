@@ -7,6 +7,10 @@
 //! `benchmark/expected/bench-fits.digests`. The file is only read here; a
 //! change that moves a digest is a change in results and must update it
 //! deliberately.
+//!
+//! A second run selects only experiments that read a memoised
+//! leave-one-model-out evaluation without the sibling that fills the memo
+//! first in a full run, so the fill order cannot move an artefact either.
 
 use convmeter_bench::engine::{registry, Engine, EngineConfig};
 use std::collections::BTreeMap;
@@ -27,6 +31,30 @@ fn pinned_digests() -> BTreeMap<String, String> {
         .collect()
 }
 
+/// Run the named experiments through the engine (disk cache off) and
+/// return each artefact's manifest hash.
+fn produced_digests(names: &[&str], tag: &str) -> BTreeMap<String, String> {
+    let dir = std::env::temp_dir().join(format!("convmeter-digests-{tag}-{}", std::process::id()));
+    let config = EngineConfig {
+        jobs: 2,
+        use_disk_cache: false,
+        results_dir: dir.clone(),
+        fault: Default::default(),
+    };
+    let report = Engine::select(names, config)
+        .expect("every name is registered")
+        .run()
+        .expect("engine run succeeds");
+    std::fs::remove_dir_all(&dir).ok();
+    report
+        .manifest
+        .experiments
+        .iter()
+        .flat_map(|e| &e.artifacts)
+        .map(|a| (a.name.clone(), a.hash.clone()))
+        .collect()
+}
+
 #[test]
 fn artefact_hashes_match_pinned_digests() {
     let names: Vec<&str> = registry()
@@ -36,26 +64,7 @@ fn artefact_hashes_match_pinned_digests() {
         .collect();
     assert_eq!(names.len(), 15, "registry changed: {names:?}");
 
-    let dir = std::env::temp_dir().join(format!("convmeter-digests-{}", std::process::id()));
-    let config = EngineConfig {
-        jobs: 2,
-        use_disk_cache: false,
-        results_dir: dir.clone(),
-        fault: Default::default(),
-    };
-    let report = Engine::select(&names, config)
-        .expect("every name is registered")
-        .run()
-        .expect("engine run succeeds");
-    std::fs::remove_dir_all(&dir).ok();
-
-    let produced: BTreeMap<String, String> = report
-        .manifest
-        .experiments
-        .iter()
-        .flat_map(|e| &e.artifacts)
-        .map(|a| (a.name.clone(), a.hash.clone()))
-        .collect();
+    let produced = produced_digests(&names, "all");
     let pinned = pinned_digests();
     assert_eq!(pinned.len(), 17);
     for (name, want) in &pinned {
@@ -70,4 +79,18 @@ fn artefact_hashes_match_pinned_digests() {
         pinned.len(),
         "unpinned artefacts: {produced:?}"
     );
+}
+
+#[test]
+fn memo_fill_order_does_not_move_digests() {
+    // fig3 without table1, fig4 without table2, fig8 and fig9 without
+    // table3/fig5/fig7: each evaluation is filled by a different
+    // experiment than in the full run.
+    let names = ["fig3", "fig4", "fig8", "fig9"];
+    let produced = produced_digests(&names, "memo");
+    let pinned = pinned_digests();
+    assert_eq!(produced.len(), names.len());
+    for (name, got) in &produced {
+        assert_eq!(Some(got), pinned.get(name), "artefact {name}: digest moved");
+    }
 }

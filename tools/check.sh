@@ -9,6 +9,11 @@ cargo fmt --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "==> cargo check benchmark/ (own workspace: an API change in crates/* must not break it)"
+# cargo prunes stale entries from benchmark/Cargo.lock while resolving
+# offline; that local rewrite is not part of any change to commit.
+cargo check --offline --all-targets --manifest-path benchmark/Cargo.toml
+
 echo "==> cargo test --workspace"
 # --workspace matters: from the root, a bare `cargo test` runs only the
 # root package, silently skipping every crates/* suite.
