@@ -3,7 +3,7 @@
 //!
 //! | code | violation |
 //! |------|-----------|
-//! | CB0001 | a guard is held across a *directly* blocking operation (socket accept/read/write, channel recv, file I/O, `pool::run_*`, sleeps — and telemetry macros, whose cold path takes the metrics-registry mutex) |
+//! | CB0001 | a guard is held across a *directly* blocking operation (socket accept/read/write, channel recv, file I/O, `pool::run_ordered`, sleeps — and telemetry macros, whose cold path takes the metrics-registry mutex) |
 //! | CB0002 | a guard is held across a call to a workspace fn that may block *transitively* (per a bottom-up may-block summary; the finding names the concrete blocking call) |
 //! | CB0003 | lock-order inversion: two guards are acquired in order (A, B) at one site and (B, A) at another within the same crate |
 //!
@@ -46,9 +46,9 @@ const BLOCKING_PATHS: &[(&str, &str)] = &[
     ("TcpListener", "bind"),
     ("TcpStream", "connect"),
 ];
-/// Workspace pool entry points: they run closures on worker threads and
+/// Workspace pool entry point: it runs closures on worker threads and
 /// block until the batch drains.
-const BLOCKING_BARE: &[&str] = &["run_ordered", "run_quarantined"];
+const BLOCKING_BARE: &[&str] = &["run_ordered"];
 /// Telemetry macros: the per-callsite handle is a `OnceLock` whose cold
 /// path interns through the metrics-registry mutex.
 const TELEMETRY_MACROS: &[&str] = &["counter", "gauge", "histogram"];

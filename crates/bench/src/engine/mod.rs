@@ -18,15 +18,17 @@
 //!                     artefact JSON + rendered tables + manifest.json
 //! ```
 
+mod attempt;
 pub mod registry;
 pub mod store;
 
-/// The ordered thread pool / quarantine runner, re-exported from its own
-/// crate (`convmeter-pool`) now that the simulators share it for
-/// intra-build sweep parallelism. The `engine::pool` path is kept so the
-/// loom suite and downstream callers are unaffected by the move.
+/// The ordered thread pool, re-exported from its own crate
+/// (`convmeter-pool`) now that the simulators share it for intra-build
+/// sweep parallelism. The `engine::pool` path is kept so the loom suite
+/// and downstream callers are unaffected by the move.
 pub use convmeter_pool as pool;
 
+pub use attempt::{AttemptKind, AttemptRecord, BACKOFF_BASE_MS};
 pub use registry::registry;
 pub use store::{DatasetSpec, DatasetStats, DatasetStore, CACHE_FORMAT};
 
@@ -38,7 +40,6 @@ use serde::Serialize;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Errors the engine can surface. All artefact-write failures abort the run
 /// with a non-zero exit; cache problems only warn (see [`store`]).
@@ -63,9 +64,9 @@ pub enum EngineError {
         /// The unmatched name.
         name: String,
     },
-    /// An experiment panicked on a worker thread. The pool catches the
-    /// unwind so one bad experiment fails the run with a real error instead
-    /// of tearing the process down mid-write.
+    /// An experiment panicked on its final attempt. The attempt policy
+    /// catches the unwind so one bad experiment fails the run with a real
+    /// error instead of tearing the process down mid-write.
     ExperimentPanicked {
         /// Registry name of the panicking experiment.
         name: String,
@@ -78,14 +79,6 @@ pub enum EngineError {
         name: String,
         /// The watchdog budget that was exceeded, seconds.
         seconds: u64,
-    },
-    /// An experiment kept failing after its retry budget (quarantine mode
-    /// without `--keep-going`).
-    ExperimentFailed {
-        /// Registry name of the experiment.
-        name: String,
-        /// Rendered error chain of the final attempt.
-        message: String,
     },
     /// A benchmark dataset failed `CM0104` validation: empty, or containing
     /// non-finite / non-positive measured times.
@@ -138,9 +131,6 @@ impl std::fmt::Display for EngineError {
             }
             EngineError::TimedOut { name, seconds } => {
                 write!(f, "experiment '{name}' timed out after {seconds}s")
-            }
-            EngineError::ExperimentFailed { name, message } => {
-                write!(f, "experiment '{name}' failed: {message}")
             }
             EngineError::BadDataset { key, problem } => {
                 write!(f, "dataset {key} failed validation: {problem}")
@@ -232,10 +222,9 @@ pub trait Experiment: Sync {
     fn run(&self, ctx: &RunContext<'_>) -> Result<RunOutput, EngineError>;
 }
 
-/// Fault-tolerance policy for a run. The default (`Default::default()`) is
-/// everything off, which keeps the engine on its legacy byte-identical
-/// execution path.
-#[derive(Debug, Clone)]
+/// Fault-tolerance policy for a run. The default is the no-op policy: one
+/// inline attempt per experiment, and the first failure aborts the run.
+#[derive(Debug, Clone, Default)]
 pub struct FaultToleranceConfig {
     /// Quarantine failing experiments (record them in the manifest and keep
     /// going) instead of aborting the run on the first failure.
@@ -247,33 +236,17 @@ pub struct FaultToleranceConfig {
     /// Deterministic fault-injection profile threaded into every sweep
     /// build, or `None` for clean simulation.
     pub faults: Option<FaultProfile>,
-    /// Base for the exponential retry backoff, milliseconds.
-    pub backoff_base_ms: u64,
-}
-
-impl Default for FaultToleranceConfig {
-    fn default() -> Self {
-        FaultToleranceConfig {
-            keep_going: false,
-            retries: 0,
-            timeout_secs: None,
-            faults: None,
-            backoff_base_ms: 250,
-        }
-    }
 }
 
 impl FaultToleranceConfig {
-    /// True when any quarantine feature (keep-going, retries, watchdog) is
-    /// requested — the engine then runs experiments on detached threads.
-    pub fn quarantine_active(&self) -> bool {
-        self.keep_going || self.retries > 0 || self.timeout_secs.is_some()
-    }
-
-    /// True when anything fault-tolerance-related is on, including fault
-    /// injection; drives the manifest's format-version bump.
+    /// True when anything fault-tolerance-related is on (keep-going,
+    /// retries, the watchdog or fault injection); drives the manifest's
+    /// format-version bump.
     pub fn active(&self) -> bool {
-        self.quarantine_active() || self.faults.as_ref().is_some_and(|f| !f.is_off())
+        self.keep_going
+            || self.retries > 0
+            || self.timeout_secs.is_some()
+            || self.faults.as_ref().is_some_and(|f| !f.is_off())
     }
 }
 
@@ -402,7 +375,7 @@ pub struct FailureRecord {
     /// Rendered error chain of the final attempt.
     pub error: String,
     /// Every failed attempt: number, kind, error, elapsed, backoff.
-    pub attempts: Vec<pool::AttemptRecord>,
+    pub attempts: Vec<AttemptRecord>,
     /// Total wall time spent on this experiment across attempts, seconds.
     pub elapsed_seconds: f64,
 }
@@ -488,9 +461,9 @@ pub struct EngineReport {
 /// Runs a set of experiments against a shared dataset store.
 ///
 /// Experiments are `'static` references (registry experiments are
-/// `static` unit structs; ad-hoc experiments const-promote) because the
-/// quarantine path runs attempts on detached watchdogged threads, which
-/// cannot borrow from the caller's stack.
+/// `static` unit structs; ad-hoc experiments const-promote) because a
+/// watchdogged attempt runs on a detached thread, which cannot borrow from
+/// the caller's stack.
 pub struct Engine {
     experiments: Vec<&'static dyn Experiment>,
     config: EngineConfig,
@@ -556,55 +529,46 @@ impl Engine {
             self.config.fault.faults.clone(),
         ));
         let total = self.experiments.len();
-        let results: Vec<ExpOutcome> = {
+        let fault = &self.config.fault;
+        let completed = AtomicUsize::new(0);
+        let mut outcomes = {
             // Scope the engine span so sequential (jobs = 1) experiment
             // spans flush to the sink before we snapshot for the manifest.
             let _engine_span = obs::span!("engine.run");
-            if self.config.fault.quarantine_active() {
-                self.run_quarantine_path(&store)
-            } else {
-                self.run_legacy_path(&store)?
-            }
+            pool::run_ordered(&self.experiments, self.config.jobs, |_, &exp| {
+                let outcome = attempt::run(exp, &store, fault.retries, fault.timeout_secs);
+                let k = completed.fetch_add(1, Ordering::Relaxed) + 1;
+                let secs = outcome.elapsed_seconds;
+                match &outcome.result {
+                    Ok(_) => eprintln!("[{k}/{total}] {} done ({secs:.1}s)", exp.name()),
+                    Err(e) => eprintln!("[{k}/{total}] {} FAILED ({secs:.1}s): {e}", exp.name()),
+                }
+                outcome
+            })
+            .map_err(|p| EngineError::ExperimentPanicked {
+                name: self.experiments[p.index].name().to_string(),
+                message: p.message,
+            })?
         };
+        // Without `--keep-going` the first failure in registry order aborts
+        // the run with its typed error, before anything is written.
+        if !fault.keep_going {
+            if let Some(i) = outcomes.iter().position(|o| o.result.is_err()) {
+                outcomes.swap_remove(i).result?;
+            }
+        }
         let span_tree = session.span_snapshot();
 
         std::fs::create_dir_all(&self.config.results_dir).map_err(|source| EngineError::Io {
             context: format!("results directory {}", self.config.results_dir.display()),
             source,
         })?;
-        // Quarantine features without `--keep-going` (e.g. plain retries or
-        // a watchdog) still abort the run — on a *typed* error once the
-        // budget is spent — before any artefact is written.
-        if !self.config.fault.keep_going {
-            if let Some((exp, outcome)) = self
-                .experiments
-                .iter()
-                .zip(&results)
-                .find(|(_, o)| o.output.is_none())
-            {
-                let last = outcome.attempts.last();
-                return Err(match last.map(|a| a.kind) {
-                    Some(pool::AttemptKind::Timeout) => EngineError::TimedOut {
-                        name: exp.name().to_string(),
-                        seconds: self.config.fault.timeout_secs.unwrap_or(0),
-                    },
-                    Some(pool::AttemptKind::Panic) => EngineError::ExperimentPanicked {
-                        name: exp.name().to_string(),
-                        message: last.map(|a| a.error.clone()).unwrap_or_default(),
-                    },
-                    _ => EngineError::ExperimentFailed {
-                        name: exp.name().to_string(),
-                        message: last.map(|a| a.error.clone()).unwrap_or_default(),
-                    },
-                });
-            }
-        }
         let mut records = Vec::with_capacity(total);
         let mut rendered = Vec::with_capacity(total);
         // analyzer:allow(CP0004, reason = "almost always stays empty; the failure count is unknowable up front and sizing it to `total` pessimises the common case")
         let mut failures = Vec::new();
-        for (exp, outcome) in self.experiments.iter().zip(results) {
-            let Some(output) = outcome.output else {
+        for (exp, outcome) in self.experiments.iter().zip(outcomes) {
+            let Ok(output) = outcome.result else {
                 failures.push(FailureRecord {
                     // analyzer:allow(CP0001, reason = "one owned failure record per failed experiment; negligible next to the seconds the attempt ran")
                     name: exp.name().to_string(),
@@ -655,7 +619,6 @@ impl Engine {
             // analyzer:allow(CP0001, reason = "one owned (name, rendered) pair per finished experiment for the stdout report")
             rendered.push((exp.name().to_string(), output.rendered));
         }
-        let fault = &self.config.fault;
         let format_version = if fault.active() || !failures.is_empty() {
             MANIFEST_FORMAT_FAULTS
         } else {
@@ -683,174 +646,5 @@ impl Engine {
             }
         })?;
         Ok(EngineReport { manifest, rendered })
-    }
-
-    /// The original execution path: scoped threads, first failure aborts.
-    /// This is what runs when no fault-tolerance feature is requested, and
-    /// it is pinned byte-identical (artefacts, manifest, span nesting) by
-    /// the determinism tests.
-    fn run_legacy_path(&self, store: &Arc<DatasetStore>) -> Result<Vec<ExpOutcome>, EngineError> {
-        let total = self.experiments.len();
-        let completed = AtomicUsize::new(0);
-        let ctx_store: &DatasetStore = store;
-        let results: Vec<(Result<RunOutput, EngineError>, f64)> =
-            pool::run_ordered(&self.experiments, self.config.jobs, |_, exp| {
-                let _span = obs::span::span(format!("experiment:{}", exp.name()));
-                let started = obs::clock::now();
-                let out = exp.run(&RunContext { store: ctx_store });
-                let secs = started.elapsed().as_secs_f64();
-                let k = completed.fetch_add(1, Ordering::Relaxed) + 1;
-                eprintln!("[{k}/{total}] {} done ({secs:.1}s)", exp.name());
-                (out, secs)
-            })
-            .map_err(|p| EngineError::ExperimentPanicked {
-                name: self.experiments[p.index].name().to_string(),
-                message: p.message,
-            })?;
-        results
-            .into_iter()
-            .map(|(result, secs)| {
-                Ok(ExpOutcome {
-                    output: Some(result?),
-                    attempts: Vec::new(),
-                    elapsed_seconds: secs,
-                })
-            })
-            .collect()
-    }
-
-    /// The graceful-degradation path: detached threads with retries,
-    /// deterministic backoff, and a watchdog. Failures become recorded
-    /// outcomes instead of aborting the run.
-    fn run_quarantine_path(&self, store: &Arc<DatasetStore>) -> Vec<ExpOutcome> {
-        let fault = &self.config.fault;
-        let plan = pool::QuarantinePlan {
-            jobs: self.config.jobs,
-            retries: fault.retries,
-            timeout: fault.timeout_secs.map(Duration::from_secs),
-            backoff_base_ms: fault.backoff_base_ms,
-        };
-        let total = self.experiments.len();
-        let completed = Arc::new(AtomicUsize::new(0));
-        let store = Arc::clone(store);
-        let outcomes = pool::run_quarantined(
-            self.experiments.clone(),
-            &plan,
-            move |_, exp: &&'static dyn Experiment| {
-                let _span = obs::span::span(format!("experiment:{}", exp.name()));
-                let started = obs::clock::now();
-                let out = exp.run(&RunContext {
-                    store: store.as_ref(),
-                });
-                let secs = started.elapsed().as_secs_f64();
-                let k = completed.fetch_add(1, Ordering::Relaxed) + 1;
-                match &out {
-                    Ok(_) => eprintln!("[{k}/{total}] {} done ({secs:.1}s)", exp.name()),
-                    Err(e) => eprintln!("[{k}/{total}] {} FAILED ({secs:.1}s): {e}", exp.name()),
-                }
-                out.map_err(|e| error_chain(&e))
-            },
-        );
-        outcomes
-            .into_iter()
-            .map(|o| ExpOutcome {
-                output: o.value,
-                attempts: o.attempts,
-                elapsed_seconds: o.elapsed_seconds,
-            })
-            .collect()
-    }
-}
-
-/// Per-experiment outcome, unified across the legacy and quarantine paths.
-struct ExpOutcome {
-    output: Option<RunOutput>,
-    attempts: Vec<pool::AttemptRecord>,
-    elapsed_seconds: f64,
-}
-
-/// Render an error and its `source()` chain on one line, for quarantine
-/// records (which cannot carry the typed error across the thread boundary).
-fn error_chain(err: &dyn std::error::Error) -> String {
-    use std::fmt::Write as _;
-    let mut out = err.to_string();
-    let mut source = err.source();
-    while let Some(cause) = source {
-        let _ = write!(out, " — caused by: {cause}");
-        source = cause.source();
-    }
-    out
-}
-
-/// Print a run report the way the old per-experiment binaries did: rendered
-/// tables to stdout in registry order, then a one-line summary.
-pub fn print_report(report: &EngineReport, results_dir: &std::path::Path) {
-    for (_, text) in &report.rendered {
-        print!("{text}");
-    }
-    let m = &report.manifest;
-    let artifact_count: usize = m.experiments.iter().map(|e| e.artifacts.len()).sum();
-    println!(
-        "{} experiment(s), {} artefact(s) written to {} — datasets: {} built, {} disk hit(s), {} memory hit(s)",
-        m.experiments.len(),
-        artifact_count,
-        results_dir.display(),
-        m.total_builds(),
-        m.total_disk_hits(),
-        m.total_memory_hits(),
-    );
-    if !m.failures.is_empty() {
-        eprintln!("{} experiment(s) QUARANTINED:", m.failures.len());
-        for f in &m.failures {
-            eprintln!(
-                "  {} — {} attempt(s), {:.1}s: {}",
-                f.name,
-                f.attempts.len(),
-                f.elapsed_seconds,
-                f.error
-            );
-        }
-    }
-}
-
-fn exit_with(err: &EngineError) -> ! {
-    eprintln!("error: {err}");
-    let mut source = std::error::Error::source(err);
-    while let Some(cause) = source {
-        eprintln!("  caused by: {cause}");
-        source = cause.source();
-    }
-    std::process::exit(1)
-}
-
-/// Entry point for the per-experiment regeneration binaries: run the named
-/// registry experiments with the default configuration, print the report,
-/// and exit non-zero if anything — including an artefact write — fails.
-pub fn main_only(names: &[&str]) {
-    let config = EngineConfig::from_env();
-    let results_dir = config.results_dir.clone();
-    match Engine::select(names, config).and_then(|e| e.run()) {
-        Ok(report) => {
-            print_report(&report, &results_dir);
-            if !report.manifest.failures.is_empty() {
-                std::process::exit(1);
-            }
-        }
-        Err(e) => exit_with(&e),
-    }
-}
-
-/// Entry point for `all_experiments`: the full registry.
-pub fn main_all() {
-    let config = EngineConfig::from_env();
-    let results_dir = config.results_dir.clone();
-    match Engine::all(config).run() {
-        Ok(report) => {
-            print_report(&report, &results_dir);
-            if !report.manifest.failures.is_empty() {
-                std::process::exit(1);
-            }
-        }
-        Err(e) => exit_with(&e),
     }
 }

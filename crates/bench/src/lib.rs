@@ -1,10 +1,9 @@
 //! Experiment harness for the ConvMeter reproduction.
 //!
 //! Every table and figure in the paper's evaluation section is an
-//! [`engine::Experiment`] registered in [`engine::registry`]; the binaries
-//! in `src/bin/` are thin shims that select one experiment each, and
-//! `convmeter bench` drives the whole registry with a shared
-//! content-addressed dataset cache and a parallel scheduler.
+//! [`engine::Experiment`] registered in [`engine::registry`], and
+//! `convmeter bench` drives the registry (or `--only` a subset of it) with
+//! a shared content-addressed dataset cache and a parallel scheduler.
 //!
 //! | Experiment | Paper artefact                                          |
 //! |------------|---------------------------------------------------------|

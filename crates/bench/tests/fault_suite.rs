@@ -1,22 +1,29 @@
 //! Fault-tolerance integration suite: crash-safe cache recovery and the
-//! quarantine scheduler end to end.
+//! engine's per-attempt policy (retries, backoff, watchdog) end to end.
 //!
 //! Covers the robustness acceptance surface:
 //! * a corrupted on-disk dataset cache entry is detected by its checksum,
 //!   rebuilt from the simulator, and the rebuilt artefacts are
 //!   byte-identical to the pre-corruption run;
-//! * a `--keep-going` run with a panicking and a hanging experiment
-//!   completes every healthy experiment and records both failures — with
-//!   their attempt histories — in a v3 manifest;
-//! * a faults-off run stays on the legacy path: v2 manifest, unsalted
-//!   cache keys, byte-identical artefacts across reruns.
+//! * a `--keep-going` run with erroring, panicking and hanging experiments
+//!   completes every healthy experiment and records each failure — with
+//!   its attempt history — in a v3 manifest, in registry order;
+//! * retries follow the deterministic backoff schedule, and a hung attempt
+//!   is abandoned by the watchdog instead of stalling the run;
+//! * without `--keep-going` the first failure aborts the run with its
+//!   typed error, whatever the retry and watchdog settings;
+//! * a faults-off run writes the v2 manifest, unsalted cache keys, and
+//!   byte-identical artefacts across reruns.
 
 use convmeter_bench::engine::{
-    Artifact, DatasetSpec, Engine, EngineConfig, EngineError, Experiment, FaultToleranceConfig,
-    RunContext, RunOutput, MANIFEST_FORMAT_FAULTS,
+    Artifact, AttemptKind, DatasetSpec, Engine, EngineConfig, EngineError, Experiment,
+    FaultToleranceConfig, RunContext, RunOutput, BACKOFF_BASE_MS, MANIFEST_FORMAT_FAULTS,
 };
 use convmeter_hwsim::{DeviceProfile, FaultProfile, SweepConfig};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
 fn quick_spec() -> DatasetSpec {
     DatasetSpec::Inference {
@@ -93,6 +100,100 @@ impl Experiment for Hangs {
         Ok(RunOutput {
             rendered: String::new(),
             artifacts: Vec::new(),
+        })
+    }
+}
+
+/// An experiment with no dependencies that always succeeds.
+struct Succeeds(&'static str);
+impl Experiment for Succeeds {
+    fn name(&self) -> &'static str {
+        self.0
+    }
+    fn title(&self) -> &'static str {
+        "test: succeeds at once"
+    }
+    fn artifacts(&self) -> &'static [&'static str] {
+        &[]
+    }
+    fn deps(&self) -> Vec<DatasetSpec> {
+        Vec::new()
+    }
+    fn run(&self, _ctx: &RunContext<'_>) -> Result<RunOutput, EngineError> {
+        Ok(RunOutput {
+            rendered: String::new(),
+            artifacts: vec![Artifact::json(self.0, &serde_json::json!({"ok": true}))],
+        })
+    }
+}
+
+/// An experiment that returns a typed error on every attempt and counts
+/// its attempts. Each test declares its own `static` instance.
+struct Fails {
+    calls: AtomicUsize,
+}
+impl Fails {
+    const fn new() -> Self {
+        Fails {
+            calls: AtomicUsize::new(0),
+        }
+    }
+}
+impl Experiment for Fails {
+    fn name(&self) -> &'static str {
+        "fault_fails"
+    }
+    fn title(&self) -> &'static str {
+        "test: always errors"
+    }
+    fn artifacts(&self) -> &'static [&'static str] {
+        &["fault_fails"]
+    }
+    fn deps(&self) -> Vec<DatasetSpec> {
+        Vec::new()
+    }
+    fn run(&self, _ctx: &RunContext<'_>) -> Result<RunOutput, EngineError> {
+        let n = self.calls.fetch_add(1, Ordering::SeqCst) + 1;
+        Err(EngineError::BadDataset {
+            key: "fault_fails".to_string(),
+            problem: format!("attempt {n} found no points"),
+        })
+    }
+}
+
+/// An experiment that errors on its first two attempts and succeeds on the
+/// third, remembering when each attempt started.
+struct Flaky {
+    starts: Mutex<Vec<Instant>>,
+}
+impl Experiment for Flaky {
+    fn name(&self) -> &'static str {
+        "fault_flaky"
+    }
+    fn title(&self) -> &'static str {
+        "test: succeeds on the third attempt"
+    }
+    fn artifacts(&self) -> &'static [&'static str] {
+        &["fault_flaky"]
+    }
+    fn deps(&self) -> Vec<DatasetSpec> {
+        Vec::new()
+    }
+    fn run(&self, _ctx: &RunContext<'_>) -> Result<RunOutput, EngineError> {
+        let mut starts = self.starts.lock().unwrap();
+        starts.push(Instant::now());
+        if starts.len() < 3 {
+            return Err(EngineError::BadDataset {
+                key: "fault_flaky".to_string(),
+                problem: format!("transient failure {}", starts.len()),
+            });
+        }
+        Ok(RunOutput {
+            rendered: String::new(),
+            artifacts: vec![Artifact::json(
+                "fault_flaky",
+                &serde_json::json!({"attempts": starts.len()}),
+            )],
         })
     }
 }
@@ -174,7 +275,6 @@ fn keep_going_quarantines_panic_and_timeout_and_completes_the_rest() {
         keep_going: true,
         retries: 1,
         timeout_secs: Some(1),
-        backoff_base_ms: 10,
         ..Default::default()
     };
     let exps: Vec<&'static dyn Experiment> = vec![&Panics, &Hangs, &Healthy];
@@ -238,11 +338,226 @@ fn failures_without_keep_going_abort_with_typed_errors() {
     );
     // Aborted runs write nothing.
     assert!(!dir.join("manifest.json").exists());
+
+    // A panic on the final attempt is `ExperimentPanicked`, retries or not.
+    let fault = FaultToleranceConfig {
+        retries: 1,
+        ..Default::default()
+    };
+    let Err(err) = Engine::new(vec![&Panics], config(dir.clone(), fault)).run() else {
+        panic!("a panicking experiment must abort without --keep-going");
+    };
+    assert!(
+        matches!(err, EngineError::ExperimentPanicked { ref name, ref message }
+            if name == "fault_panics" && message.contains("injected panic")),
+        "{err}"
+    );
+
+    // The first failure in registry order decides, whatever finishes first.
+    static FAILS: Fails = Fails::new();
+    let exps: Vec<&'static dyn Experiment> = vec![&Succeeds("fault_first"), &FAILS, &Panics];
+    let Err(err) = Engine::new(exps, config(dir.clone(), Default::default())).run() else {
+        panic!("a failing experiment must abort without --keep-going");
+    };
+    assert!(matches!(err, EngineError::BadDataset { .. }), "{err}");
+    assert!(!dir.join("manifest.json").exists());
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
-fn faults_off_runs_stay_on_the_legacy_v2_path() {
+fn retried_errors_keep_the_experiments_typed_error() {
+    static FAILS: Fails = Fails::new();
+    let dir = temp_dir("typed");
+    let fault = FaultToleranceConfig {
+        retries: 1,
+        ..Default::default()
+    };
+    let Err(err) = Engine::new(vec![&FAILS], config(dir.clone(), fault)).run() else {
+        panic!("an always-failing experiment must abort without --keep-going");
+    };
+    assert!(
+        matches!(err, EngineError::BadDataset { ref key, ref problem }
+            if key == "fault_fails" && problem == "attempt 2 found no points"),
+        "{err}"
+    );
+    assert_eq!(FAILS.calls.load(Ordering::SeqCst), 2);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn keep_going_records_panics_and_errors_without_aborting() {
+    static FAILS: Fails = Fails::new();
+    let dir = temp_dir("recorded");
+    let fault = FaultToleranceConfig {
+        keep_going: true,
+        ..Default::default()
+    };
+    let exps: Vec<&'static dyn Experiment> = vec![&Panics, &FAILS, &Healthy];
+    let report = Engine::new(exps, config(dir.clone(), fault))
+        .run()
+        .expect("keep-going run returns a report");
+    assert_eq!(report.manifest.experiments.len(), 1);
+    assert_eq!(report.manifest.experiments[0].name, "fault_healthy");
+
+    let [panicked, failed] = &report.manifest.failures[..] else {
+        panic!("{:?}", report.manifest.failures);
+    };
+    assert_eq!(panicked.name, "fault_panics");
+    assert_eq!(panicked.attempts.len(), 1);
+    assert_eq!(panicked.attempts[0].kind, AttemptKind::Panic);
+    assert_eq!(
+        panicked.attempts[0].error,
+        "injected panic for the fault suite"
+    );
+    assert_eq!(failed.name, "fault_fails");
+    assert_eq!(failed.attempts.len(), 1);
+    assert_eq!(failed.attempts[0].kind, AttemptKind::Error);
+    assert_eq!(
+        failed.error,
+        "dataset fault_fails failed validation: attempt 1 found no points"
+    );
+    assert_eq!(failed.attempts[0].backoff_ms, 0);
+    assert_eq!(FAILS.calls.load(Ordering::SeqCst), 1);
+
+    let manifest = std::fs::read_to_string(dir.join("manifest.json")).unwrap();
+    assert!(manifest.contains("\"kind\": \"Error\""), "{manifest}");
+    assert!(manifest.contains("\"kind\": \"Panic\""), "{manifest}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_retry_that_succeeds_waits_out_the_backoff_schedule() {
+    static FLAKY: Flaky = Flaky {
+        starts: Mutex::new(Vec::new()),
+    };
+    let dir = temp_dir("flaky");
+    let fault = FaultToleranceConfig {
+        retries: 3,
+        ..Default::default()
+    };
+    let report = Engine::new(vec![&FLAKY], config(dir.clone(), fault))
+        .run()
+        .expect("the third attempt succeeds");
+    assert_eq!(report.manifest.experiments[0].name, "fault_flaky");
+    assert!(report.manifest.failures.is_empty());
+    assert!(dir.join("fault_flaky.json").exists());
+
+    // Two failed attempts, so two backoffs: 250 ms, then 500 ms.
+    let starts = FLAKY.starts.lock().unwrap();
+    assert_eq!(starts.len(), 3);
+    assert!(starts[1] - starts[0] >= Duration::from_millis(BACKOFF_BASE_MS));
+    assert!(starts[2] - starts[1] >= Duration::from_millis(2 * BACKOFF_BASE_MS));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn exhausted_retries_number_every_attempt() {
+    static FAILS: Fails = Fails::new();
+    let dir = temp_dir("exhausted");
+    let fault = FaultToleranceConfig {
+        keep_going: true,
+        retries: 2,
+        ..Default::default()
+    };
+    let report = Engine::new(vec![&FAILS], config(dir.clone(), fault))
+        .run()
+        .expect("keep-going run returns a report");
+    let failure = &report.manifest.failures[0];
+    let numbers: Vec<usize> = failure.attempts.iter().map(|a| a.attempt).collect();
+    assert_eq!(numbers, vec![1, 2, 3]);
+    let backoffs: Vec<u64> = failure.attempts.iter().map(|a| a.backoff_ms).collect();
+    // Doubling from the base; the final failure schedules no backoff.
+    assert_eq!(backoffs, vec![250, 500, 0]);
+    assert!(failure
+        .attempts
+        .iter()
+        .all(|a| a.kind == AttemptKind::Error));
+    assert_eq!(
+        failure.error,
+        "dataset fault_fails failed validation: attempt 3 found no points"
+    );
+    assert_eq!(FAILS.calls.load(Ordering::SeqCst), 3);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn the_watchdog_abandons_a_hung_attempt() {
+    let dir = temp_dir("watchdog");
+    let fault = FaultToleranceConfig {
+        keep_going: true,
+        timeout_secs: Some(1),
+        ..Default::default()
+    };
+    let exps: Vec<&'static dyn Experiment> = vec![&Hangs, &Succeeds("fault_after_hang")];
+    let started = Instant::now();
+    let report = Engine::new(exps, config(dir.clone(), fault))
+        .run()
+        .expect("keep-going run returns a report");
+    // `Hangs` sleeps for 60 s; the run must not wait for it.
+    assert!(
+        started.elapsed() < Duration::from_secs(30),
+        "watchdog must not wait for the hung attempt"
+    );
+    assert_eq!(report.manifest.experiments[0].name, "fault_after_hang");
+    let hung = &report.manifest.failures[0];
+    assert_eq!(hung.attempts.len(), 1);
+    assert_eq!(hung.attempts[0].kind, AttemptKind::Timeout);
+    assert_eq!(hung.attempts[0].error, "watchdog timeout after 1.0s");
+    assert_eq!(hung.attempts[0].elapsed_seconds, 1.0);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn outcomes_come_back_in_input_order() {
+    static FAILS: Fails = Fails::new();
+    let fault = FaultToleranceConfig {
+        keep_going: true,
+        retries: 1,
+        ..Default::default()
+    };
+    let exps: Vec<&'static dyn Experiment> = vec![
+        &Panics,
+        &Succeeds("fault_order_a"),
+        &FAILS,
+        &Succeeds("fault_order_b"),
+        &Succeeds("fault_order_c"),
+    ];
+    for round in 0..2 {
+        let dir = temp_dir(&format!("order{round}"));
+        let mut config = config(dir.clone(), fault.clone());
+        config.jobs = 4;
+        let report = Engine::new(exps.clone(), config)
+            .run()
+            .expect("keep-going run returns a report");
+        let done: Vec<&str> = report
+            .manifest
+            .experiments
+            .iter()
+            .map(|e| e.name.as_str())
+            .collect();
+        assert_eq!(done, ["fault_order_a", "fault_order_b", "fault_order_c"]);
+        let failed: Vec<&str> = report
+            .manifest
+            .failures
+            .iter()
+            .map(|f| f.name.as_str())
+            .collect();
+        assert_eq!(failed, ["fault_panics", "fault_fails"]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    // No experiments at all is an empty, successful run.
+    let dir = temp_dir("empty");
+    let report = Engine::new(Vec::new(), config(dir.clone(), fault))
+        .run()
+        .expect("empty run");
+    assert!(report.manifest.experiments.is_empty());
+    assert!(report.manifest.failures.is_empty());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn faults_off_runs_keep_the_v2_manifest() {
     let dir = temp_dir("clean");
     // An explicit all-off profile must behave exactly like no profile.
     let fault = FaultToleranceConfig {

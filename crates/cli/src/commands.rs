@@ -810,11 +810,11 @@ pub fn dot(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 /// Drives the unified experiment engine: regenerates paper artefacts under
 /// the results directory with a shared content-addressed dataset cache and
 /// parallel scheduling. `--list` prints the registry without running
-/// anything. The fault-tolerance flags route the run through the
-/// quarantine scheduler: `--faults` injects a named deterministic fault
-/// profile into every dataset sweep, `--retries`/`--timeout-secs` bound
-/// each experiment's attempts, and `--keep-going` records failures in the
-/// v3 manifest instead of aborting (the exit status is still non-zero).
+/// anything. The fault-tolerance flags set the engine's per-attempt
+/// policy: `--faults` injects a named deterministic fault profile into
+/// every dataset sweep, `--retries`/`--timeout-secs` bound each
+/// experiment's attempts, and `--keep-going` records failures in the v3
+/// manifest instead of aborting (the exit status is still non-zero).
 pub fn bench(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     use convmeter_bench::engine::{registry, Engine, EngineConfig};
     use convmeter_hwsim::FaultProfile;

@@ -61,6 +61,22 @@ grep -q '"format_version": 3' "$FAULT_TMP/manifest.json"
 grep -q '"fault_profile"' "$FAULT_TMP/manifest.json"
 rm -rf "$FAULT_TMP"
 
+echo "==> convmeter bench --timeout-secs 0 --retries 1 --keep-going (retry + watchdog smoke run)"
+# A zero-second watchdog abandons both attempts: the run must exit
+# non-zero and record one failure with two Timeout attempts in a v3
+# manifest.
+WATCHDOG_TMP="$(mktemp -d)"
+if CONVMETER_RESULTS="$WATCHDOG_TMP" \
+    cargo run -q -p convmeter-cli --offline -- \
+    bench --only extensions --timeout-secs 0 --retries 1 --keep-going --jobs 1 >/dev/null; then
+    echo "watchdog smoke: a run whose every attempt times out exited zero" >&2
+    exit 1
+fi
+grep -q '"format_version": 3' "$WATCHDOG_TMP/manifest.json"
+grep -q '"failures"' "$WATCHDOG_TMP/manifest.json"
+test "$(grep -c '"kind": "Timeout"' "$WATCHDOG_TMP/manifest.json")" -eq 2
+rm -rf "$WATCHDOG_TMP"
+
 echo "==> convmeter profile --quick (observability smoke run)"
 PROFILE_TMP="$(mktemp -d)"
 CONVMETER_RESULTS="$PROFILE_TMP" \
