@@ -11,8 +11,9 @@
 //! The interesting machinery is in [`state`]: coefficient sets are fitted
 //! once per device profile (sharded on the device fingerprint, calibration
 //! sweeps served by the engine's dataset store), and responses are cached
-//! in a fingerprint-keyed LRU whose slots double as coalescing points —
-//! identical concurrent requests compute exactly once.
+//! in an LRU keyed by request fingerprint and model name, whose slots
+//! double as coalescing points — identical concurrent requests compute
+//! exactly once.
 //!
 //! [`loadgen`] replays a seeded zipf query stream against the service and
 //! emits the versioned [`slo::SloReport`] that `tools/slo_gate.sh` compares

@@ -12,9 +12,16 @@
 //!   moment it is accepted; time spent waiting in the queue shrinks the
 //!   time the peer gets to finish its message, and slow-loris peers are
 //!   evicted with `408`.
+//! * **Wake on arrival** — the accept thread blocks in `accept`, so a
+//!   connection is admitted the moment it arrives. [`Server::shutdown`]
+//!   wakes it with a loopback connection; that connection is shed like any
+//!   other late arrival.
 //! * **Graceful drain** — shutdown stops admitting (new connections get
 //!   `503 draining`), finishes every queued and in-flight request under a
 //!   drain timeout, then hard-closes whatever remains.
+//! * **Stage timings** — each request records `serve.queue_wait_us`,
+//!   `serve.read_us`, `serve.route_us` and `serve.write_us` off shared
+//!   instants, so the four stages add up to `serve.request_us`.
 //!
 //! `/healthz` reports `ok`/`degraded`/`draining` from the same counters
 //! the obs gauges export, so operators and load balancers see the shed
@@ -26,16 +33,23 @@ use crate::state::ServeState;
 use convmeter_metrics::obs;
 use std::collections::VecDeque;
 use std::io::Read;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-/// How often the nonblocking accept loop re-checks the stop flag while
-/// idle. Bounds shutdown latency with zero inbound traffic.
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
-/// Accept poll interval while draining (shorter: shed fast, exit fast).
+/// Pause after a failed `accept` (e.g. `EMFILE`) before trying again, so a
+/// persistent error does not spin the accept thread.
+const ACCEPT_ERROR_PAUSE: Duration = Duration::from_millis(5);
+/// How often [`Server::shutdown`] retries its wake-up connection and checks
+/// whether the drain has begun.
+const WAKE_INTERVAL: Duration = Duration::from_millis(10);
+/// Bound on those checks: shutdown stops waiting for the drain after
+/// `WAKE_TRIES * WAKE_INTERVAL`.
+const WAKE_TRIES: u32 = 100;
+/// Accept poll interval while draining, between checks of the drain
+/// condition.
 const DRAIN_POLL: Duration = Duration::from_millis(2);
 /// Bound on writing a response so a peer that stops reading cannot wedge
 /// a worker forever.
@@ -167,7 +181,7 @@ impl ServiceHealth {
 /// An admitted connection waiting for a worker.
 struct Job {
     stream: TcpStream,
-    accepted_at: std::time::Instant,
+    accepted_at: Instant,
 }
 
 /// The bounded queue between the accept loop and the worker pool.
@@ -198,12 +212,10 @@ pub struct Server {
 impl Server {
     /// Bind and start serving `state` in background threads.
     pub fn start(state: Arc<ServeState>, config: &ServerConfig) -> std::io::Result<Server> {
+        // Blocking accept: the accept thread wakes the moment a connection
+        // arrives. `shutdown` wakes it with a loopback connection, so
+        // shutdown stays bounded with zero traffic.
         let listener = TcpListener::bind((config.host.as_str(), config.port))?;
-        // Nonblocking accept + stop-flag polling: shutdown completes
-        // within one poll interval even with zero inbound traffic (the
-        // old self-poke connection was best-effort and could leave the
-        // loop blocked in `accept` forever).
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let health = Arc::new(ServiceHealth::new(config.queue_capacity));
@@ -232,12 +244,31 @@ impl Server {
         Arc::clone(&self.health)
     }
 
-    /// Ask the server to drain and stop. Idempotent; returns without
-    /// waiting — the accept loop notices within one poll interval, sheds
-    /// new connections with `503`, and finishes in-flight work under the
-    /// drain timeout.
+    /// Ask the server to drain and stop. Idempotent. Sets the stop flag,
+    /// then wakes the blocked accept thread with one loopback connection
+    /// (retried every [`WAKE_INTERVAL`] while connecting fails) and waits
+    /// until the drain has begun, for at most `WAKE_TRIES * WAKE_INTERVAL`.
+    /// The wake-up connection is shed as a late arrival, so a shutdown
+    /// counts at most one shed of its own. Returns without waiting for the
+    /// drain itself: new connections are shed with `503` while in-flight
+    /// work finishes under the drain timeout.
     pub fn shutdown(&self) {
         self.stop.store(true, Ordering::SeqCst);
+        let wake = wake_addr(self.addr);
+        let mut woken = false;
+        for _ in 0..WAKE_TRIES {
+            if self.health.is_draining() {
+                return;
+            }
+            // A connection the kernel queued is enough: the accept thread
+            // takes it, sees the stop flag and starts the drain. Refused
+            // once the listener is gone, by which time the drain flag is
+            // already set.
+            if !woken {
+                woken = TcpStream::connect_timeout(&wake, WAKE_INTERVAL).is_ok();
+            }
+            std::thread::sleep(WAKE_INTERVAL);
+        }
     }
 
     /// Block until the accept loop exits (because `max_requests` was
@@ -247,6 +278,17 @@ impl Server {
             let _ = handle.join();
         }
     }
+}
+
+/// Where a wake-up connection goes: the bound address, with an unspecified
+/// host (`0.0.0.0`/`::`) replaced by the loopback address of its family.
+fn wake_addr(addr: SocketAddr) -> SocketAddr {
+    let ip = match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, addr.port())
 }
 
 impl Drop for Server {
@@ -281,11 +323,15 @@ fn accept_loop(
         .collect();
 
     let mut accepted = 0u64;
+    // A connection accepted after the stop flag is set (the shutdown
+    // wake-up, or any peer racing it) is shed by the drain.
+    let mut late = None;
     loop {
-        if stop.load(Ordering::SeqCst) {
-            break;
-        }
         match listener.accept() {
+            Ok((stream, _)) if stop.load(Ordering::SeqCst) => {
+                late = Some(stream);
+                break;
+            }
             Ok((stream, _)) => {
                 accepted += 1;
                 admit(stream, &queue, health, config);
@@ -293,17 +339,15 @@ fn accept_loop(
                     break;
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
+            Err(_) if stop.load(Ordering::SeqCst) => break,
             Err(_) => {
                 obs::counter!("serve.accept.errors").inc();
-                std::thread::sleep(ACCEPT_POLL);
+                std::thread::sleep(ACCEPT_ERROR_PAUSE);
             }
         }
     }
 
-    drain(listener, &queue, health, config.drain_timeout);
+    drain(listener, late, &queue, health, config.drain_timeout);
     queue.kill.store(true, Ordering::SeqCst);
     queue.available.notify_all();
     for handle in workers {
@@ -363,11 +407,23 @@ fn shed(mut stream: TcpStream, why: &str, health: &ServiceHealth) {
     }
 }
 
-/// Graceful drain: shed new connections while queued + in-flight work
-/// finishes; hard-close whatever is still queued when the timeout lapses.
-fn drain(listener: &TcpListener, queue: &Queue, health: &ServiceHealth, drain_timeout: Duration) {
+/// Graceful drain: shed `late` and every new connection while queued +
+/// in-flight work finishes; hard-close whatever is still queued when the
+/// timeout lapses.
+fn drain(
+    listener: &TcpListener,
+    late: Option<TcpStream>,
+    queue: &Queue,
+    health: &ServiceHealth,
+    drain_timeout: Duration,
+) {
     health.draining.store(true, Ordering::SeqCst);
     let drain_started = obs::clock::now();
+    if let Some(stream) = late {
+        shed(stream, "server is draining", health);
+    }
+    // Shed new arrivals between checks of the drain condition.
+    let _ = listener.set_nonblocking(true);
     loop {
         if health.queue_depth() == 0 && health.in_flight() == 0 {
             break;
@@ -424,36 +480,47 @@ fn worker_loop(queue: &Queue, state: &ServeState, health: &ServiceHealth, deadli
 }
 
 /// Process one admitted connection under what remains of its deadline
-/// budget.
+/// budget, and record its stage timings. The stages share their boundary
+/// instants, so queue wait + read + route + write telescope to
+/// `serve.request_us` (each histogram truncates to whole microseconds).
 fn handle_job(job: Job, state: &ServeState, health: &ServiceHealth, deadline: Duration) {
     let Job {
         mut stream,
         accepted_at,
     } = job;
     obs::counter!("serve.requests").inc();
-    let remaining = deadline.saturating_sub(accepted_at.elapsed());
-    let response = if remaining.is_zero() {
-        // The budget burned down while the connection sat in the queue:
-        // overload, answered as a shed rather than a timeout.
-        obs::counter!("serve.deadline.cut").inc();
-        Response::json(503, error_body("deadline exhausted while queued")).with_retry_after(1)
-    } else {
-        match http::read_request_within(&mut stream, remaining) {
-            Ok(request) => route(&request, state, health),
-            Err(e) => {
-                obs::counter!("serve.http.errors").inc();
-                let status = http::status_for_error(&e);
-                if status == 408 {
-                    obs::counter!("serve.deadline.cut").inc();
-                }
-                Response::json(status, error_body(&e.to_string()))
+    let dequeued = obs::clock::now();
+    let remaining = deadline.saturating_sub(dequeued - accepted_at);
+    // `None`: the budget burned down while the connection sat in the queue.
+    let request = (!remaining.is_zero()).then(|| http::read_request_within(&mut stream, remaining));
+    let read_done = obs::clock::now();
+    let response = match request {
+        None => {
+            // Overload, answered as a shed rather than a timeout.
+            obs::counter!("serve.deadline.cut").inc();
+            Response::json(503, error_body("deadline exhausted while queued")).with_retry_after(1)
+        }
+        Some(Ok(request)) => route(&request, state, health),
+        Some(Err(e)) => {
+            obs::counter!("serve.http.errors").inc();
+            let status = http::status_for_error(&e);
+            if status == 408 {
+                obs::counter!("serve.deadline.cut").inc();
             }
+            Response::json(status, error_body(&e.to_string()))
         }
     };
-    obs::histogram!("serve.request_us").record_duration_us(accepted_at.elapsed());
+    let routed = obs::clock::now();
     // The peer may already be gone; nothing useful to do about it.
     let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let _ = http::write_response(&mut stream, &response);
+    let written = obs::clock::now();
+    obs::histogram!("serve.queue_wait_us").record_duration_us(dequeued - accepted_at);
+    obs::histogram!("serve.read_us").record_duration_us(read_done - dequeued);
+    obs::histogram!("serve.route_us").record_duration_us(routed - read_done);
+    obs::histogram!("serve.write_us").record_duration_us(written - routed);
+    // Last, so a scrape that sees a request here sees all of its stages.
+    obs::histogram!("serve.request_us").record_duration_us(written - accepted_at);
 }
 
 fn route(request: &http::Request, state: &ServeState, health: &ServiceHealth) -> Response {
@@ -475,13 +542,22 @@ fn route(request: &http::Request, state: &ServeState, health: &ServiceHealth) ->
             let snapshot = obs::metric::snapshot();
             Response::text(200, obs::prometheus::render(&snapshot))
         }
-        ("POST", "/predict") => match PredictRequest::from_json(&request.body) {
-            Ok(predict) => match state.predict(&predict) {
+        ("POST", "/predict") => {
+            let started = obs::clock::now();
+            let parsed = PredictRequest::from_json(&request.body);
+            let parsed_at = obs::clock::now();
+            obs::histogram!("serve.parse_us").record_duration_us(parsed_at - started);
+            let predict = match parsed {
+                Ok(predict) => predict,
+                Err(message) => return Response::json(400, error_body(&message)),
+            };
+            let answer = state.predict(&predict);
+            obs::histogram!("serve.predict_us").record_duration_us(parsed_at.elapsed());
+            match answer {
                 Ok((rendered, _)) => Response::json(rendered.status, rendered.body.clone()),
                 Err(message) => Response::json(400, error_body(&message)),
-            },
-            Err(message) => Response::json(400, error_body(&message)),
-        },
+            }
+        }
         (_, "/healthz" | "/metrics" | "/predict") => {
             Response::json(405, error_body("method not allowed"))
         }

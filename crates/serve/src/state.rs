@@ -11,10 +11,13 @@
 //!   engine's [`DatasetStore`] (one inference, one distributed) and fits the
 //!   forward and training models once; every later request on that device
 //!   reuses the fitted coefficients;
-//! * **response cache**, keyed by request fingerprint: completed responses
-//!   are served straight from memory (LRU-evicted beyond capacity), and a
-//!   request identical to one still being computed *coalesces* onto the
-//!   in-flight slot instead of predicting again.
+//! * **response cache**, keyed by request fingerprint plus the model name
+//!   the response displays: completed responses are served straight from
+//!   memory (LRU-evicted beyond capacity), and a request identical to one
+//!   still being computed *coalesces* onto the in-flight slot instead of
+//!   predicting again. The name is part of the key so that a body never
+//!   depends on which of two structurally identical, differently named
+//!   graphs filled the slot.
 
 use crate::api::{
     error_body, BottleneckEntry, PredictRequest, PredictResponse, ScalePoint, API_FORMAT,
@@ -57,7 +60,7 @@ pub enum CacheOutcome {
     Hit,
     /// Joined an identical request still being computed.
     Coalesced,
-    /// First request for this fingerprint; this caller built the response.
+    /// First request for this cache key; this caller built the response.
     Miss,
 }
 
@@ -70,7 +73,7 @@ pub struct CacheStats {
     pub misses: u64,
     /// Requests that joined an in-flight entry.
     pub coalesced: u64,
-    /// Responses actually computed (one per distinct fingerprint, however
+    /// Responses actually computed (one per distinct cache key, however
     /// many requests raced).
     pub builds: u64,
     /// Entries dropped by LRU eviction.
@@ -96,21 +99,23 @@ pub struct DeviceModels {
 
 type ModelSlot = Arc<OnceLock<Result<Arc<DeviceModels>, String>>>;
 type ResponseSlot = Arc<OnceLock<Arc<Rendered>>>;
+/// Response-cache key: the request fingerprint and the display name.
+type CacheKey = (String, String);
 
 struct LruCache {
     capacity: usize,
-    slots: BTreeMap<String, ResponseSlot>,
+    slots: BTreeMap<CacheKey, ResponseSlot>,
     /// Keys from least- to most-recently used.
-    order: VecDeque<String>,
+    order: VecDeque<CacheKey>,
     stats: CacheStats,
 }
 
 impl LruCache {
-    fn touch(&mut self, key: &str) {
+    fn touch(&mut self, key: &CacheKey) {
         if let Some(pos) = self.order.iter().position(|k| k == key) {
             self.order.remove(pos);
         }
-        self.order.push_back(key.to_string());
+        self.order.push_back(key.clone());
     }
 
     /// Drop least-recently-used entries beyond capacity. Completed entries
@@ -179,6 +184,16 @@ enum Arch {
     Raw(Box<Graph>),
 }
 
+impl Arch {
+    /// The model name the response displays.
+    fn display_name(&self) -> &str {
+        match self {
+            Arch::Zoo { name } => name,
+            Arch::Raw(graph) => graph.name(),
+        }
+    }
+}
+
 impl ServeState {
     /// Create service state with its own engine dataset store.
     pub fn new(config: &ServeConfig) -> ServeState {
@@ -206,12 +221,13 @@ impl ServeState {
         let device = resolve_device(&req.device, &req.precision)?;
         let (arch, graph_fp) = Self::resolve_arch(req)?;
         let fingerprint = req.fingerprint(&graph_fp, &device.fingerprint());
-        let (slot, outcome) = self.lookup(&fingerprint);
+        let key = (fingerprint, arch.display_name().to_string());
+        let (slot, outcome) = self.lookup(&key);
         let rendered = slot
             .get_or_init(|| {
                 self.builds.fetch_add(1, Ordering::Relaxed);
                 obs::counter!("serve.predict.builds").inc();
-                Arc::new(self.build_response(req, &device, &arch, &fingerprint))
+                Arc::new(self.build_response(req, &device, &arch, &key.0))
             })
             .clone();
         Ok((rendered, outcome))
@@ -225,7 +241,7 @@ impl ServeState {
     }
 
     /// Exactly-once build count. The coalescing cache guarantees each
-    /// distinct fingerprint is built by exactly one caller, so this value is
+    /// distinct cache key is built by exactly one caller, so this value is
     /// a function of the admitted request set alone — unlike the hit/miss
     /// split in [`Self::cache_stats`], it does not depend on worker
     /// scheduling order and is safe to put in reproducible artefacts.
@@ -278,9 +294,9 @@ impl ServeState {
         }
     }
 
-    fn lookup(&self, fingerprint: &str) -> (ResponseSlot, CacheOutcome) {
+    fn lookup(&self, key: &CacheKey) -> (ResponseSlot, CacheOutcome) {
         let mut lru = self.cache.lock().unwrap_or_else(PoisonError::into_inner);
-        let (slot, outcome, evicted) = if let Some(slot) = lru.slots.get(fingerprint) {
+        let (slot, outcome, evicted) = if let Some(slot) = lru.slots.get(key) {
             let slot = slot.clone();
             let outcome = if slot.get().is_some() {
                 lru.stats.hits += 1;
@@ -289,13 +305,13 @@ impl ServeState {
                 lru.stats.coalesced += 1;
                 CacheOutcome::Coalesced
             };
-            lru.touch(fingerprint);
+            lru.touch(key);
             (slot, outcome, 0)
         } else {
             lru.stats.misses += 1;
             let slot = ResponseSlot::default();
-            lru.slots.insert(fingerprint.to_string(), slot.clone());
-            lru.order.push_back(fingerprint.to_string());
+            lru.slots.insert(key.clone(), slot.clone());
+            lru.order.push_back(key.clone());
             let evicted = lru.evict();
             (slot, CacheOutcome::Miss, evicted)
         };
@@ -377,9 +393,9 @@ impl ServeState {
                 }
             }
         };
-        let (graph, display_name) = match arch {
+        let graph = match arch {
             Arch::Zoo { name } => match convmeter_models::zoo::by_name(name) {
-                Some(spec) => (spec.build(req.image, 1000), name.clone()),
+                Some(spec) => spec.build(req.image, 1000),
                 None => {
                     return Rendered {
                         status: 500,
@@ -387,7 +403,7 @@ impl ServeState {
                     }
                 }
             },
-            Arch::Raw(graph) => ((**graph).clone(), graph.name().to_string()),
+            Arch::Raw(graph) => (**graph).clone(),
         };
         let metrics = match ModelMetrics::of(&graph) {
             Ok(m) => m,
@@ -443,7 +459,7 @@ impl ServeState {
         };
         let response = PredictResponse {
             api_format: API_FORMAT,
-            model: display_name,
+            model: arch.display_name().to_string(),
             fingerprint: fingerprint.to_string(),
             device_fingerprint: device.fingerprint(),
             image: req.image,
@@ -553,23 +569,73 @@ mod tests {
         assert_eq!(stats.misses + stats.hits + stats.coalesced, 0);
     }
 
+    /// `graph` as a raw-graph `/predict` body.
+    fn raw_body(graph: &Graph) -> String {
+        let graph_json = serde_json::to_string(&serde_json::to_value(graph)).unwrap();
+        format!(r#"{{"graph": {graph_json}, "image": 64, "batch": 8, "nodes": [1]}}"#)
+    }
+
+    fn body_field(body: &str, field: &str) -> String {
+        let v = serde_json::parse(body).unwrap();
+        v.get(field)
+            .and_then(serde_json::Value::as_str)
+            .unwrap()
+            .to_string()
+    }
+
     #[test]
     fn raw_graph_requests_predict_and_coalesce_with_structure() {
         let state = ServeState::new(&ServeConfig::default());
         // Serialise a zoo graph and submit it as a raw graph document.
-        let graph = convmeter_models::zoo::by_name("vgg11")
+        let mut graph = convmeter_models::zoo::by_name("vgg11")
             .unwrap()
             .build(64, 1000);
-        let graph_json = serde_json::to_string(&serde_json::to_value(&graph)).unwrap();
-        let body = format!(r#"{{"graph": {graph_json}, "image": 64, "batch": 8, "nodes": [1]}}"#);
-        let raw_req = quick_request(&body);
-        let (r, outcome) = state.predict(&raw_req).unwrap();
+        let (r, outcome) = state.predict(&quick_request(&raw_body(&graph))).unwrap();
         assert_eq!(r.status, 200, "{}", r.body);
         assert_eq!(outcome, CacheOutcome::Miss);
-        // The same architecture by zoo name lands on the same fingerprint.
+        // The same architecture under the same name, by zoo name, shares
+        // the entry.
         let by_name = quick_request(r#"{"model": "vgg11", "image": 64, "batch": 8, "nodes": [1]}"#);
-        let (_, outcome) = state.predict(&by_name).unwrap();
+        let (zoo, outcome) = state.predict(&by_name).unwrap();
         assert_eq!(outcome, CacheOutcome::Hit);
+        assert!(Arc::ptr_eq(&r, &zoo));
+        // Under another name it gets its own entry, with the same
+        // structural fingerprint in the body.
+        graph.set_name("vgg11_renamed");
+        let (renamed, outcome) = state.predict(&quick_request(&raw_body(&graph))).unwrap();
+        assert_eq!(outcome, CacheOutcome::Miss);
+        assert_eq!(body_field(&renamed.body, "model"), "vgg11_renamed");
+        assert_eq!(
+            body_field(&renamed.body, "fingerprint"),
+            body_field(&zoo.body, "fingerprint")
+        );
+        assert_eq!(state.cache_stats().builds, 2);
+    }
+
+    #[test]
+    fn renamed_graph_bodies_do_not_depend_on_cache_history() {
+        let graph = convmeter_models::zoo::by_name("resnet18")
+            .unwrap()
+            .build(64, 1000);
+        let named = |name: &str| {
+            let mut copy = graph.clone();
+            copy.set_name(name);
+            quick_request(&raw_body(&copy))
+        };
+        let (a, b) = (named("net_a"), named("net_b"));
+        let answer = |first: &PredictRequest, second: &PredictRequest| {
+            let state = ServeState::new(&ServeConfig::default());
+            let first = state.predict(first).unwrap().0;
+            let second = state.predict(second).unwrap().0;
+            (first.body.clone(), second.body.clone())
+        };
+        let (a_first, b_second) = answer(&a, &b);
+        let (b_first, a_second) = answer(&b, &a);
+        assert_eq!(body_field(&a_first, "model"), "net_a");
+        assert_eq!(body_field(&b_first, "model"), "net_b");
+        // Each body is the same whichever copy was asked first.
+        assert_eq!(a_first, a_second);
+        assert_eq!(b_first, b_second);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use convmeter_serve::server::{Server, ServerConfig};
 use convmeter_serve::state::{ServeConfig, ServeState};
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 fn server_with(tweak: impl FnOnce(&mut ServerConfig)) -> Server {
@@ -35,10 +35,10 @@ fn read_response(stream: &mut TcpStream) -> String {
 
 #[test]
 fn shutdown_completes_quickly_with_zero_inbound_traffic() {
-    // Regression for the self-poke fragility: the old accept loop only
-    // noticed the stop flag when a connection arrived, and relied on a
-    // best-effort loopback poke. The nonblocking loop must exit within
-    // its poll interval with no traffic at all.
+    // Regression for the self-poke fragility: an accept loop blocked in
+    // `accept` only notices the stop flag when a connection arrives.
+    // `shutdown` wakes it with a loopback connection, so it must exit
+    // promptly with no traffic at all.
     let server = server_with(|_| {});
     let started = Instant::now();
     server.shutdown();
@@ -47,6 +47,76 @@ fn shutdown_completes_quickly_with_zero_inbound_traffic() {
         started.elapsed() < Duration::from_secs(3),
         "shutdown took {:?} with zero inbound traffic",
         started.elapsed()
+    );
+}
+
+/// Run `f` on its own thread and fail if it has not finished within
+/// `limit`: a hung shutdown fails the test instead of hanging the suite.
+fn finishes_within(limit: Duration, what: &str, f: impl FnOnce() + Send + 'static) {
+    let (done, finished) = mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        f();
+        let _ = done.send(());
+    });
+    // On timeout the thread is left running: a hung one cannot be joined.
+    assert!(
+        finished.recv_timeout(limit).is_ok(),
+        "{what} did not finish within {limit:?}"
+    );
+    worker.join().expect("the timed thread panicked");
+}
+
+#[test]
+fn sequential_round_trips_do_not_wait_for_a_poll() {
+    // The accept thread wakes on arrival: a back-to-back request must not
+    // wait out a poll interval (5 ms when accept polled the stop flag).
+    let server = server_with(|_| {});
+    let addr = server.addr();
+    let mut round_trips: Vec<Duration> = (0..40)
+        .map(|_| {
+            let started = Instant::now();
+            let (status, body) = http::call(addr, "GET", "/healthz", None).expect("healthz");
+            assert_eq!(status, 200, "{body}");
+            started.elapsed()
+        })
+        .collect();
+    round_trips.sort();
+    let median = round_trips[round_trips.len() / 2];
+    assert!(
+        median < Duration::from_millis(2),
+        "median back-to-back round trip {median:?}: {round_trips:?}"
+    );
+}
+
+#[test]
+fn dropping_an_idle_server_does_not_hang() {
+    // No traffic, no shutdown(), no wait(): Drop alone must wake the
+    // accept thread and join it.
+    let server = server_with(|_| {});
+    finishes_within(
+        Duration::from_secs(3),
+        "dropping an idle server",
+        move || {
+            drop(server);
+        },
+    );
+}
+
+#[test]
+fn shutdown_of_a_server_bound_to_the_unspecified_address_completes() {
+    // The wake-up connection cannot go to 0.0.0.0; it must use loopback.
+    let server = server_with(|c| c.host = "0.0.0.0".to_string());
+    assert!(server.addr().ip().is_unspecified());
+    let health = server.health();
+    finishes_within(Duration::from_secs(3), "shutdown on 0.0.0.0", move || {
+        server.shutdown();
+        server.wait();
+    });
+    assert!(health.is_draining());
+    assert!(
+        health.shed_total() <= 1,
+        "the wake-up connection sheds at most once, got {}",
+        health.shed_total()
     );
 }
 

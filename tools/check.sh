@@ -132,6 +132,16 @@ echo "==> scenario matrix (tests/scenarios/*.toml against the real binary)"
 CONVMETER_SCENARIOS=1 \
     cargo test -q -p convmeter-cli --test scenario_matrix --offline
 
+echo "==> benchmark/run.sh --smoke serve-hot serve-miss (release serve against the byte-for-byte oracle)"
+# Thousands of requests through the real accept path, each answer compared
+# byte for byte with an in-process ServeState::predict. The last stdout
+# line is the JSON result; it must report correct and no failed operation.
+SMOKE_RESULT="$(bash benchmark/run.sh --smoke serve-hot serve-miss | tail -n 1)"
+if ! grep -q '"correct": true' <<<"$SMOKE_RESULT" || ! grep -q '"failed": 0,' <<<"$SMOKE_RESULT"; then
+    echo "benchmark smoke failed: $SMOKE_RESULT" >&2
+    exit 1
+fi
+
 # Warn-only for now: flip to a hard failure once the baseline has soaked on
 # the CI runners (timings there are noisier than local ones).
 echo "==> tools/perf_gate.sh (warn-only)"
