@@ -336,7 +336,8 @@ pub fn bottlenecks(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let spec =
         zoo::by_name(name).ok_or_else(|| CliError::Usage(format!("unknown model '{name}'")))?;
     let graph = spec.build(image, 1000);
-    let report = convmeter::bottleneck_report(&model, &graph, batch)
+    let metrics = ModelMetrics::of(&graph)?;
+    let report = convmeter::bottleneck_report(&model, &graph, &metrics, batch)
         .map_err(|e| CliError::Usage(e.to_string()))?;
     writeln!(
         out,

@@ -6,6 +6,13 @@
 //! the network's bottlenecks". Given a fitted [`ForwardModel`] and a graph
 //! with registered block spans, [`bottleneck_report`] predicts every block's
 //! latency and ranks them.
+//!
+//! A block's price is a per-node sum over the whole graph's extraction: the
+//! paper's metrics are sums of per-layer costs, and a node's shapes do not
+//! depend on where its block sits, so summing `per_node[start..end]` of
+//! [`ModelMetrics::of`] on the whole graph gives bit for bit the metrics of
+//! the block extracted as its own graph — without rebuilding the block or
+//! re-running shape inference once per block.
 
 use crate::forward::ForwardModel;
 use convmeter_graph::Graph;
@@ -46,7 +53,15 @@ pub struct BottleneckReport {
 pub enum AnalysisError {
     /// The graph has no registered block spans.
     NoBlocks,
-    /// A registered block failed to extract or validate.
+    /// The metrics passed in were not extracted from this graph: their
+    /// per-node costs cover a different number of nodes.
+    MetricsMismatch {
+        /// Nodes the metrics' per-node costs cover.
+        metrics_nodes: usize,
+        /// Nodes in the graph.
+        graph_nodes: usize,
+    },
+    /// A registered block failed to validate.
     Block(String),
 }
 
@@ -54,6 +69,13 @@ impl std::fmt::Display for AnalysisError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             AnalysisError::NoBlocks => write!(f, "graph has no registered blocks"),
+            AnalysisError::MetricsMismatch {
+                metrics_nodes,
+                graph_nodes,
+            } => write!(
+                f,
+                "metrics cover {metrics_nodes} nodes but the graph has {graph_nodes}"
+            ),
             AnalysisError::Block(e) => write!(f, "block error: {e}"),
         }
     }
@@ -62,29 +84,37 @@ impl std::fmt::Display for AnalysisError {
 impl std::error::Error for AnalysisError {}
 
 /// Predict the latency of every registered block of `graph` at `batch`,
-/// producing a ranked bottleneck report.
+/// producing a ranked bottleneck report. `metrics` are the whole graph's
+/// metrics ([`ModelMetrics::of`]); each block is priced from the sum of
+/// its nodes' costs in them, which equals the metrics of the block
+/// extracted as its own graph.
 pub fn bottleneck_report(
     model: &ForwardModel,
     graph: &Graph,
+    metrics: &ModelMetrics,
     batch: usize,
 ) -> Result<BottleneckReport, AnalysisError> {
     if graph.blocks().is_empty() {
         return Err(AnalysisError::NoBlocks);
     }
-    let whole_metrics = ModelMetrics::of(graph).map_err(|e| AnalysisError::Block(e.to_string()))?;
-    let whole_model = model.predict_metrics(&whole_metrics, batch);
+    if metrics.per_node.len() != graph.len() {
+        return Err(AnalysisError::MetricsMismatch {
+            metrics_nodes: metrics.per_node.len(),
+            graph_nodes: graph.len(),
+        });
+    }
+    let whole_model = model.predict_metrics(metrics, batch);
 
     let mut blocks = Vec::with_capacity(graph.blocks().len());
     for span in graph.blocks() {
-        let block = graph.extract_block(span).map_err(AnalysisError::Block)?;
-        let metrics = ModelMetrics::of(&block).map_err(|e| AnalysisError::Block(e.to_string()))?;
-        let bm = metrics.at_batch(batch);
+        graph.block_input(span).map_err(AnalysisError::Block)?;
+        let bm = metrics.span_at_batch(span.start..span.end, batch);
         blocks.push(BlockTiming {
             block: span.name.clone(),
-            predicted: model.predict_metrics(&metrics, batch),
+            predicted: model.predict(&bm),
             share: 0.0,
             flops: bm.flops,
-            weights: metrics.weights,
+            weights: bm.weights,
         });
     }
     let total: f64 = blocks.iter().map(|b| b.predicted).sum();
@@ -106,19 +136,145 @@ pub fn bottleneck_report(
 mod tests {
     use super::*;
     use crate::dataset::inference_dataset;
+    use convmeter_graph::layer::conv2d;
+    use convmeter_graph::{BlockSpan, Layer, NodeId, Shape};
     use convmeter_hwsim::{DeviceProfile, SweepConfig};
-    use convmeter_models::zoo;
+    use convmeter_models::{random::random_convnet, zoo};
+    use std::sync::OnceLock;
 
-    fn fitted() -> ForwardModel {
-        let data = inference_dataset(&DeviceProfile::a100_80gb(), &SweepConfig::quick()).unwrap();
-        ForwardModel::fit(&data).unwrap()
+    fn fitted() -> &'static ForwardModel {
+        static MODEL: OnceLock<ForwardModel> = OnceLock::new();
+        MODEL.get_or_init(|| {
+            let data =
+                inference_dataset(&DeviceProfile::a100_80gb(), &SweepConfig::quick()).unwrap();
+            ForwardModel::fit(&data).unwrap()
+        })
+    }
+
+    fn report(graph: &Graph, batch: usize) -> Result<BottleneckReport, AnalysisError> {
+        let metrics = ModelMetrics::of(graph).unwrap();
+        bottleneck_report(fitted(), graph, &metrics, batch)
+    }
+
+    /// The report as it was computed before blocks were priced from the
+    /// whole graph's per-node costs: each block extracted as its own graph
+    /// and metered on its own.
+    fn reference_report(graph: &Graph, batch: usize) -> BottleneckReport {
+        let model = fitted();
+        let whole = ModelMetrics::of(graph).unwrap();
+        let mut blocks: Vec<BlockTiming> = graph
+            .blocks()
+            .iter()
+            .map(|span| {
+                let metrics = ModelMetrics::of(&graph.extract_block(span).unwrap()).unwrap();
+                BlockTiming {
+                    block: span.name.clone(),
+                    predicted: model.predict_metrics(&metrics, batch),
+                    share: 0.0,
+                    flops: metrics.at_batch(batch).flops,
+                    weights: metrics.weights,
+                }
+            })
+            .collect();
+        let total: f64 = blocks.iter().map(|b| b.predicted).sum();
+        if total > 0.0 {
+            for b in &mut blocks {
+                b.share = b.predicted / total;
+            }
+        }
+        blocks.sort_by(|a, b| b.predicted.total_cmp(&a.predicted));
+        BottleneckReport {
+            model: graph.name().to_string(),
+            batch,
+            blocks,
+            whole_model: model.predict_metrics(&whole, batch),
+        }
+    }
+
+    /// `graph`'s report equals the reference bit for bit at every batch.
+    fn assert_matches_reference(graph: &Graph) {
+        let metrics = ModelMetrics::of(graph).unwrap();
+        for batch in [1, 8, 64] {
+            let got = bottleneck_report(fitted(), graph, &metrics, batch).unwrap();
+            let want = reference_report(graph, batch);
+            let label = format!("{} at batch {batch}", graph.name());
+            assert_eq!(
+                got.whole_model.to_bits(),
+                want.whole_model.to_bits(),
+                "{label}"
+            );
+            assert_eq!(got.blocks.len(), want.blocks.len(), "{label}");
+            for (g, w) in got.blocks.iter().zip(&want.blocks) {
+                assert_eq!(g.block, w.block, "{label}: block order");
+                assert_eq!(
+                    g.predicted.to_bits(),
+                    w.predicted.to_bits(),
+                    "{label}: {}",
+                    w.block
+                );
+                assert_eq!(g.share.to_bits(), w.share.to_bits(), "{label}: {}", w.block);
+                assert_eq!(g.flops, w.flops, "{label}: {}", w.block);
+                assert_eq!(g.weights, w.weights, "{label}: {}", w.block);
+            }
+        }
+    }
+
+    #[test]
+    fn zoo_reports_match_per_block_extraction_bit_for_bit() {
+        let mut checked = 0;
+        for name in zoo::all_model_names() {
+            let spec = zoo::by_name(name).unwrap();
+            for image in [64, 128, 224].into_iter().filter(|&s| spec.supports(s)) {
+                let graph = spec.build(image, 1000);
+                if !graph.blocks().is_empty() {
+                    assert_matches_reference(&graph);
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked >= 30, "only {checked} zoo graphs have blocks");
+    }
+
+    #[test]
+    fn random_reports_match_per_block_extraction_bit_for_bit() {
+        for seed in 0..50u64 {
+            let image = [64, 128, 224][seed as usize % 3];
+            assert_matches_reference(&random_convnet(500 + seed, image, 1000));
+        }
+    }
+
+    #[test]
+    fn invalid_blocks_fail_the_report() {
+        let mut g = Graph::new("multi", Shape::image(4, 8));
+        let c1 = g.push(conv2d(4, 4, 3, 1, 1), vec![NodeId::INPUT], None);
+        let c2 = g.push(conv2d(4, 4, 3, 1, 1), vec![NodeId::INPUT], None);
+        g.push(Layer::Add, vec![c1, c2], None);
+        for span in [
+            BlockSpan::new("inverted", 2, 1),
+            BlockSpan::new("out_of_range", 1, 4),
+            BlockSpan::new("two_inputs", 2, 3),
+        ] {
+            let mut graph = g.clone();
+            graph.add_block(span);
+            let err = report(&graph, 1).unwrap_err();
+            assert!(matches!(err, AnalysisError::Block(_)), "{err}");
+        }
+    }
+
+    #[test]
+    fn metrics_of_another_graph_are_rejected() {
+        let graph = zoo::by_name("resnet18").unwrap().build(64, 1000);
+        let other = ModelMetrics::of(&zoo::by_name("resnet50").unwrap().build(64, 1000)).unwrap();
+        assert!(matches!(
+            bottleneck_report(fitted(), &graph, &other, 1),
+            Err(AnalysisError::MetricsMismatch { .. })
+        ));
     }
 
     #[test]
     fn resnet50_report_ranks_blocks() {
-        let model = fitted();
         let graph = zoo::by_name("resnet50").unwrap().build(224, 1000);
-        let report = bottleneck_report(&model, &graph, 32).unwrap();
+        let report = report(&graph, 32).unwrap();
         assert_eq!(report.blocks.len(), 16);
         // Sorted descending.
         for w in report.blocks.windows(2) {
@@ -138,9 +294,8 @@ mod tests {
         // block of stages 2-4: Bottleneck4, 8, 14) are individually the most
         // expensive: they run their 3x3 conv at the incoming (higher)
         // resolution and add a strided 1x1 projection on the shortcut.
-        let model = fitted();
         let graph = zoo::by_name("resnet50").unwrap().build(224, 1000);
-        let report = bottleneck_report(&model, &graph, 32).unwrap();
+        let report = report(&graph, 32).unwrap();
         let mut top: Vec<usize> = report.blocks[..3]
             .iter()
             .map(|b| b.block.trim_start_matches("Bottleneck").parse().unwrap())
@@ -159,14 +314,10 @@ mod tests {
 
     #[test]
     fn graph_without_blocks_is_an_error() {
-        let model = fitted();
         let mut b =
             convmeter_graph::GraphBuilder::new("flat", convmeter_graph::Shape::image(3, 32));
         b.conv_bn(3, 8, 3, 1, 1);
         let g = b.finish();
-        assert!(matches!(
-            bottleneck_report(&model, &g, 1),
-            Err(AnalysisError::NoBlocks)
-        ));
+        assert!(matches!(report(&g, 1), Err(AnalysisError::NoBlocks)));
     }
 }

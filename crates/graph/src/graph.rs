@@ -285,23 +285,20 @@ impl Graph {
         Ok(())
     }
 
-    /// Extract a block span as a standalone graph.
+    /// The tensor entering a block span: the unique producer outside the
+    /// span that nodes inside it read.
     ///
     /// The block must be *convex*: apart from its first node(s), which may
     /// read the block input, no node inside may consume values produced
     /// before the span. All external reads must resolve to the same producer
-    /// (the tensor entering the block), which becomes the extracted graph's
-    /// input. This is exactly the structure of the repeated blocks
-    /// (Bottleneck, InvertedResidual, MBConv, ...) the paper predicts.
-    pub fn extract_block(&self, span: &BlockSpan) -> Result<Graph, String> {
+    /// (the tensor entering the block). This is exactly the structure of the
+    /// repeated blocks (Bottleneck, InvertedResidual, MBConv, ...) the paper
+    /// predicts. Errors on an invalid span, a block reading two external
+    /// tensors, or a block reading none.
+    pub fn block_input(&self, span: &BlockSpan) -> Result<NodeId, String> {
         if span.start >= span.end || span.end > self.nodes.len() {
             return Err(format!("invalid span {}..{}", span.start, span.end));
         }
-        let shapes = self
-            .infer_shapes()
-            .map_err(|e| format!("shape inference failed: {e}"))?;
-
-        // Determine the unique external producer feeding the block.
         let mut external: Option<NodeId> = None;
         for node in &self.nodes[span.start..span.end] {
             for input in &node.inputs {
@@ -321,8 +318,16 @@ impl Graph {
                 }
             }
         }
-        let external =
-            external.ok_or_else(|| format!("block '{}' reads no external input", span.name))?;
+        external.ok_or_else(|| format!("block '{}' reads no external input", span.name))
+    }
+
+    /// Extract a block span as a standalone graph whose input is the
+    /// block's [`Self::block_input`].
+    pub fn extract_block(&self, span: &BlockSpan) -> Result<Graph, String> {
+        let external = self.block_input(span)?;
+        let shapes = self
+            .infer_shapes()
+            .map_err(|e| format!("shape inference failed: {e}"))?;
         let block_input_shape = if external == NodeId::INPUT {
             self.input_shape
         } else {

@@ -3,6 +3,7 @@
 use crate::flops::LayerCost;
 use convmeter_graph::{Graph, GraphError};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// The five ConvMeter metrics for one graph at batch size 1, plus the
 /// per-node cost breakdown the hardware simulator consumes.
@@ -100,6 +101,35 @@ impl ModelMetrics {
             token_outputs: self.token_outputs * b,
             weights: self.weights,
             trainable_layers: self.trainable_layers,
+        }
+    }
+
+    /// The batch-scaled metrics of the contiguous node range `nodes`, as
+    /// [`Self::of`] and [`Self::at_batch`] would report them for that
+    /// range extracted as its own graph: a node's shapes, and so its
+    /// [`LayerCost`], do not depend on where the range sits. Sums
+    /// `per_node[nodes]` with the same filters `of` uses.
+    ///
+    /// # Panics
+    /// Panics if `nodes` is out of range of `per_node`.
+    pub fn span_at_batch(&self, nodes: Range<usize>, batch: usize) -> BatchMetrics {
+        let costs = &self.per_node[nodes];
+        let sum = |filter: fn(&LayerCost) -> bool, f: fn(&LayerCost) -> u64| -> u64 {
+            costs.iter().filter(|c| filter(c)).map(f).sum()
+        };
+        let all = |_: &LayerCost| true;
+        let conv = |c: &LayerCost| c.is_conv;
+        let token = |c: &LayerCost| c.is_token_op;
+        let b = batch as u64;
+        BatchMetrics {
+            batch,
+            flops: sum(all, |c| c.flops) * b,
+            conv_inputs: sum(conv, |c| c.input_elements) * b,
+            conv_outputs: sum(conv, |c| c.output_elements) * b,
+            token_inputs: sum(token, |c| c.input_elements) * b,
+            token_outputs: sum(token, |c| c.output_elements) * b,
+            weights: sum(all, |c| c.param_elements),
+            trainable_layers: costs.iter().filter(|c| c.is_trainable).count(),
         }
     }
 

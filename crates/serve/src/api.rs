@@ -68,10 +68,21 @@ fn string_field(v: &Value, key: &str, default: &str) -> Result<String, String> {
 impl PredictRequest {
     /// Parse a request body, applying defaults for absent fields.
     pub fn from_json(body: &str) -> Result<PredictRequest, String> {
-        let v = serde_json::parse(body).map_err(|e| format!("invalid JSON: {e}"))?;
-        if v.as_object().is_none() {
-            return Err(format!("request must be a JSON object, got {}", v.kind()));
-        }
+        let mut v = serde_json::parse(body).map_err(|e| format!("invalid JSON: {e}"))?;
+        // Move the graph out rather than clone it: it is most of the body.
+        // The first pair is the one `Value::get` would find.
+        let graph = match &mut v {
+            Value::Object(pairs) => match pairs.iter_mut().find(|(k, _)| k == "graph") {
+                None | Some((_, Value::Null)) => None,
+                Some((_, x)) => Some(std::mem::replace(x, Value::Null)),
+            },
+            other => {
+                return Err(format!(
+                    "request must be a JSON object, got {}",
+                    other.kind()
+                ))
+            }
+        };
         let model = match v.get("model") {
             None | Some(Value::Null) => None,
             Some(x) => Some(
@@ -79,10 +90,6 @@ impl PredictRequest {
                     .map(str::to_string)
                     .ok_or_else(|| "field `model` must be a string".to_string())?,
             ),
-        };
-        let graph = match v.get("graph") {
-            None | Some(Value::Null) => None,
-            Some(x) => Some(x.clone()),
         };
         match (&model, &graph) {
             (None, None) => return Err("provide `model` (zoo name) or `graph` (raw JSON)".into()),

@@ -246,9 +246,13 @@ pub fn parse_head(raw: &[u8]) -> Result<Head, HttpError> {
     for line in lines {
         if let Some((name, value)) = line.split_once(':') {
             if name.trim().eq_ignore_ascii_case("content-length") {
-                let parsed = value.trim().parse().map_err(|_| {
-                    HttpError::Malformed(format!("bad content-length '{}'", value.trim()))
-                })?;
+                // RFC 9110 §8.6: `1*DIGIT`. `str::parse` would also take a
+                // leading `+`, and a lenient length is a smuggling vector.
+                let value = value.trim();
+                let parsed = Some(value)
+                    .filter(|v| !v.is_empty() && v.bytes().all(|b| b.is_ascii_digit()))
+                    .and_then(|v| v.parse().ok())
+                    .ok_or_else(|| HttpError::Malformed(format!("bad content-length '{value}'")))?;
                 // Duplicate Content-Length headers are a request-smuggling
                 // vector; reject rather than pick one.
                 if content_length.is_some() {

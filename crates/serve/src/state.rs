@@ -146,34 +146,54 @@ impl LruCache {
     }
 }
 
+/// The names a request may spell one table entry with.
+type Aliases = &'static [&'static str];
+
+/// The devices a request can name, with their aliases, in table order.
+/// Mirrors the CLI's vocabulary so `convmeter benchmark --device gpu` and
+/// a `/predict` body mean the same hardware.
+const DEVICES: [(Aliases, fn() -> DeviceProfile); 2] = [
+    (&["gpu", "a100"], DeviceProfile::a100_80gb),
+    (&["cpu", "xeon"], DeviceProfile::xeon_gold_5318y_core),
+];
+/// The precisions a request can name, with their aliases, in table order;
+/// `None` is the device's native FP32 profile.
+const PRECISIONS: [(Aliases, Option<Precision>); 3] = [
+    (&["fp32"], None),
+    (&["tf32"], Some(Precision::Tf32)),
+    (&["fp16", "amp"], Some(Precision::Fp16)),
+];
+
+/// A canonical (device, precision) pair resolved to its profile and the
+/// profile's fingerprint, which hashes the profile's JSON serialisation:
+/// computed once per [`ServeState`], not once per request.
+struct ResolvedDevice {
+    profile: DeviceProfile,
+    fingerprint: String,
+}
+
+/// The resolved-device table slot of a device name and precision.
+fn device_slot(name: &str, precision: &str) -> Result<usize, String> {
+    let device = DEVICES
+        .iter()
+        .position(|(aliases, _)| aliases.contains(&name))
+        .ok_or_else(|| format!("unknown device '{name}' (expected gpu|cpu)"))?;
+    let precision = PRECISIONS
+        .iter()
+        .position(|(aliases, _)| aliases.contains(&precision))
+        .ok_or_else(|| format!("unknown precision '{precision}' (expected fp32|tf32|fp16)"))?;
+    Ok(device * PRECISIONS.len() + precision)
+}
+
 /// Process-shared service state. Cheap to share behind an `Arc`; every
 /// method takes `&self`.
 pub struct ServeState {
     store: DatasetStore,
+    /// One slot per canonical (device, precision) pair; see [`device_slot`].
+    devices: [OnceLock<ResolvedDevice>; DEVICES.len() * PRECISIONS.len()],
     shards: Mutex<BTreeMap<String, ModelSlot>>,
     cache: Mutex<LruCache>,
     builds: AtomicU64,
-}
-
-/// Resolve a device name and precision to a profile. Mirrors the CLI's
-/// vocabulary so `convmeter benchmark --device gpu` and a `/predict` body
-/// mean the same hardware.
-pub fn resolve_device(name: &str, precision: &str) -> Result<DeviceProfile, String> {
-    let device = match name {
-        "gpu" | "a100" => DeviceProfile::a100_80gb(),
-        "cpu" | "xeon" => DeviceProfile::xeon_gold_5318y_core(),
-        other => return Err(format!("unknown device '{other}' (expected gpu|cpu)")),
-    };
-    Ok(match precision {
-        "fp32" => device,
-        "tf32" => device.with_precision(Precision::Tf32),
-        "fp16" | "amp" => device.with_precision(Precision::Fp16),
-        other => {
-            return Err(format!(
-                "unknown precision '{other}' (expected fp32|tf32|fp16)"
-            ))
-        }
-    })
 }
 
 /// The architecture a request resolved to: a zoo spec (built lazily, its
@@ -199,6 +219,7 @@ impl ServeState {
     pub fn new(config: &ServeConfig) -> ServeState {
         ServeState {
             store: DatasetStore::new(config.disk_cache_dir.clone()),
+            devices: Default::default(),
             shards: Mutex::new(BTreeMap::new()),
             cache: Mutex::new(LruCache {
                 capacity: config.cache_capacity.max(1),
@@ -218,16 +239,19 @@ impl ServeState {
     /// a cached 5xx if a calibration sweep failed) and how the cache was
     /// met.
     pub fn predict(&self, req: &PredictRequest) -> Result<(Arc<Rendered>, CacheOutcome), String> {
-        let device = resolve_device(&req.device, &req.precision)?;
-        let (arch, graph_fp) = Self::resolve_arch(req)?;
-        let fingerprint = req.fingerprint(&graph_fp, &device.fingerprint());
-        let key = (fingerprint, arch.display_name().to_string());
+        let started = obs::clock::now();
+        let resolved = self.resolve(req);
+        obs::histogram!("serve.resolve_us").record_duration_us(started.elapsed());
+        let (device, arch, key) = resolved?;
         let (slot, outcome) = self.lookup(&key);
         let rendered = slot
             .get_or_init(|| {
+                let started = obs::clock::now();
                 self.builds.fetch_add(1, Ordering::Relaxed);
                 obs::counter!("serve.predict.builds").inc();
-                Arc::new(self.build_response(req, &device, &arch, &key.0))
+                let rendered = Arc::new(self.build_response(req, device, &arch, &key.0));
+                obs::histogram!("serve.build_us").record_duration_us(started.elapsed());
+                rendered
             })
             .clone();
         Ok((rendered, outcome))
@@ -236,8 +260,8 @@ impl ServeState {
     /// Pre-build the coefficient shard for a device so the first `/predict`
     /// does not pay for the calibration sweeps.
     pub fn warm(&self, device_name: &str, precision: &str) -> Result<(), String> {
-        let device = resolve_device(device_name, precision)?;
-        self.device_models(&device).map(|_| ())
+        let device = self.resolve_device(device_name, precision)?;
+        self.device_models(device).map(|_| ())
     }
 
     /// Exactly-once build count. The coalescing cache guarantees each
@@ -265,6 +289,34 @@ impl ServeState {
     /// build-count instrumentation the coalescing tests assert on.
     pub fn store_stats(&self) -> BTreeMap<String, DatasetStats> {
         self.store.stats()
+    }
+
+    /// Everything `predict` decides before the cache: the device, the
+    /// architecture, and the cache key.
+    fn resolve(&self, req: &PredictRequest) -> Result<(&ResolvedDevice, Arch, CacheKey), String> {
+        let device = self.resolve_device(&req.device, &req.precision)?;
+        let (arch, graph_fp) = Self::resolve_arch(req)?;
+        let fingerprint = req.fingerprint(&graph_fp, &device.fingerprint);
+        let key = (fingerprint, arch.display_name().to_string());
+        Ok((device, arch, key))
+    }
+
+    /// The resolved profile of a device name and precision. An unknown
+    /// name errors before the table is touched.
+    fn resolve_device(&self, name: &str, precision: &str) -> Result<&ResolvedDevice, String> {
+        let slot = device_slot(name, precision)?;
+        Ok(self.devices[slot].get_or_init(|| {
+            let device = DEVICES[slot / PRECISIONS.len()].1();
+            let profile = match PRECISIONS[slot % PRECISIONS.len()].1 {
+                None => device,
+                Some(precision) => device.with_precision(precision),
+            };
+            let fingerprint = profile.fingerprint();
+            ResolvedDevice {
+                profile,
+                fingerprint,
+            }
+        }))
     }
 
     fn resolve_arch(req: &PredictRequest) -> Result<(Arch, String), String> {
@@ -330,18 +382,18 @@ impl ServeState {
         (slot, outcome)
     }
 
-    fn device_models(&self, device: &DeviceProfile) -> Result<Arc<DeviceModels>, String> {
+    fn device_models(&self, device: &ResolvedDevice) -> Result<Arc<DeviceModels>, String> {
         let slot = self
             .shards
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .entry(device.fingerprint())
+            .entry(device.fingerprint.clone())
             .or_default()
             .clone();
         slot.get_or_init(|| {
             obs::counter!("serve.coeff.builds").inc();
             let started = obs::clock::now();
-            let result = Self::build_models(&self.store, device);
+            let result = Self::build_models(&self.store, &device.profile);
             obs::histogram!("serve.coeff.build_us").record_duration_us(started.elapsed());
             result
         })
@@ -377,7 +429,7 @@ impl ServeState {
     fn build_response(
         &self,
         req: &PredictRequest,
-        device: &DeviceProfile,
+        device: &ResolvedDevice,
         arch: &Arch,
         fingerprint: &str,
     ) -> Rendered {
@@ -393,9 +445,13 @@ impl ServeState {
                 }
             }
         };
-        let graph = match arch {
+        let built;
+        let graph: &Graph = match arch {
             Arch::Zoo { name } => match convmeter_models::zoo::by_name(name) {
-                Some(spec) => spec.build(req.image, 1000),
+                Some(spec) => {
+                    built = spec.build(req.image, 1000);
+                    &built
+                }
                 None => {
                     return Rendered {
                         status: 500,
@@ -403,9 +459,9 @@ impl ServeState {
                     }
                 }
             },
-            Arch::Raw(graph) => (**graph).clone(),
+            Arch::Raw(graph) => graph,
         };
-        let metrics = match ModelMetrics::of(&graph) {
+        let metrics = match ModelMetrics::of(graph) {
             Ok(m) => m,
             Err(e) => {
                 return Rendered {
@@ -442,26 +498,27 @@ impl ServeState {
                 images_per_sec: p.images_per_sec,
             })
             .collect();
-        let bottlenecks = match convmeter::bottleneck_report(&models.forward, &graph, req.batch) {
-            Ok(report) => report
-                .blocks
-                .iter()
-                .take(req.top_blocks)
-                .map(|b| BottleneckEntry {
-                    block: b.block.clone(),
-                    predicted_s: b.predicted,
-                    share: b.share,
-                })
-                .collect(),
-            // Architectures without registered block spans still get the
-            // whole-model predictions; the ranking is best-effort.
-            Err(_) => Vec::new(),
-        };
+        let bottlenecks =
+            match convmeter::bottleneck_report(&models.forward, graph, &metrics, req.batch) {
+                Ok(report) => report
+                    .blocks
+                    .iter()
+                    .take(req.top_blocks)
+                    .map(|b| BottleneckEntry {
+                        block: b.block.clone(),
+                        predicted_s: b.predicted,
+                        share: b.share,
+                    })
+                    .collect(),
+                // Architectures without registered block spans still get the
+                // whole-model predictions; the ranking is best-effort.
+                Err(_) => Vec::new(),
+            };
         let response = PredictResponse {
             api_format: API_FORMAT,
             model: arch.display_name().to_string(),
             fingerprint: fingerprint.to_string(),
-            device_fingerprint: device.fingerprint(),
+            device_fingerprint: device.fingerprint.clone(),
             image: req.image,
             batch: req.batch,
             forward_s,
@@ -554,6 +611,30 @@ mod tests {
             .get("turning_point_nodes")
             .and_then(serde_json::Value::as_u64)
             .is_some());
+    }
+
+    #[test]
+    fn device_aliases_resolve_once_to_their_canonical_profiles() {
+        let state = ServeState::new(&ServeConfig::default());
+        let gpu = DeviceProfile::a100_80gb();
+        let cpu = DeviceProfile::xeon_gold_5318y_core();
+        for (names, want) in [
+            (["gpu", "a100"], gpu.clone()),
+            (["cpu", "xeon"], cpu.clone()),
+        ] {
+            for (precisions, want) in [
+                (["fp32", "fp32"], want.clone()),
+                (["tf32", "tf32"], want.with_precision(Precision::Tf32)),
+                (["fp16", "amp"], want.with_precision(Precision::Fp16)),
+            ] {
+                let first = state.resolve_device(names[0], precisions[0]).unwrap();
+                let alias = state.resolve_device(names[1], precisions[1]).unwrap();
+                assert!(std::ptr::eq(first, alias), "{names:?} {precisions:?}");
+                assert_eq!(first.fingerprint, want.fingerprint());
+            }
+        }
+        assert!(state.resolve_device("tpu", "fp32").is_err());
+        assert!(state.resolve_device("gpu", "int8").is_err());
     }
 
     #[test]

@@ -73,6 +73,22 @@ proptest! {
     }
 
     #[test]
+    fn non_digit_content_length_is_rejected(
+        length in 0usize..10_000,
+        which in 0usize..6,
+    ) {
+        // RFC 9110 §8.6: the value is `1*DIGIT`; a sign, a radix prefix or
+        // a non-ASCII digit is not a length, whatever number follows.
+        let prefix = ["+", "-", "0x", "+0", "0b", "\u{b3}"][which];
+        let raw = format!(
+            "POST /predict HTTP/1.1\r\nContent-Length: {prefix}{length}\r\n\r\n"
+        );
+        let err = parse_head(raw.as_bytes()).expect_err("must reject");
+        prop_assert!(matches!(err, HttpError::Malformed(_)), "{err}");
+        prop_assert_eq!(http::status_for_error(&err), 400);
+    }
+
+    #[test]
     fn garbage_printable_request_lines_never_panic(
         bytes in prop::collection::vec(0x20usize..0x7F, 0..80),
     ) {
@@ -158,6 +174,20 @@ fn server_answers_400_to_duplicate_content_length() {
     );
     assert_eq!(status_of(&response), 400, "{response}");
     assert!(response.contains("duplicate content-length"), "{response}");
+}
+
+#[test]
+fn server_answers_400_to_signed_and_hex_content_length() {
+    for length in ["+12", "0x10"] {
+        let server = ephemeral();
+        let payload = format!("POST /predict HTTP/1.1\r\nContent-Length: {length}\r\n\r\n{{}}");
+        let response = raw_exchange(server.addr(), &[payload.as_bytes()], Duration::ZERO);
+        assert_eq!(status_of(&response), 400, "{length}: {response}");
+        assert!(
+            response.contains("bad content-length"),
+            "{length}: {response}"
+        );
+    }
 }
 
 #[test]

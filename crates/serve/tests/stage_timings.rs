@@ -46,9 +46,13 @@ fn stage_timings_telescope_to_the_request_time() {
     )
     .expect("bind ephemeral port");
     let addr = server.addr();
-    let body = r#"{"model": "resnet18", "image": 64, "batch": 8, "nodes": [1, 2]}"#;
-    for _ in 0..N {
-        let (status, answer) = http::call(addr, "POST", "/predict", Some(body)).expect("predict");
+    // Five distinct batches: five builds, the rest cache hits.
+    for i in 0..N {
+        let body = format!(
+            r#"{{"model": "resnet18", "image": 64, "batch": {}, "nodes": [1, 2]}}"#,
+            1 + i % 5
+        );
+        let (status, answer) = http::call(addr, "POST", "/predict", Some(&body)).expect("predict");
         assert_eq!(status, 200, "{answer}");
     }
 
@@ -90,4 +94,18 @@ fn stage_timings_telescope_to_the_request_time() {
     );
     // Stages are real durations, not zeros.
     assert!(samples["serve_predict_us_sum"] > 0);
+
+    // Inside predict: every request resolves, and only a build builds.
+    assert_eq!(count(&samples, "serve_resolve_us"), N);
+    assert_eq!(
+        count(&samples, "serve_build_us"),
+        samples["serve_predict_builds_total"]
+    );
+    assert_eq!(samples["serve_predict_builds_total"], 5);
+    let inner = samples["serve_resolve_us_sum"] + samples["serve_build_us_sum"];
+    assert!(
+        inner <= samples["serve_predict_us_sum"],
+        "resolve + build {inner} us exceed predict {} us",
+        samples["serve_predict_us_sum"]
+    );
 }

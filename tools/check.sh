@@ -132,11 +132,13 @@ echo "==> scenario matrix (tests/scenarios/*.toml against the real binary)"
 CONVMETER_SCENARIOS=1 \
     cargo test -q -p convmeter-cli --test scenario_matrix --offline
 
-echo "==> benchmark/run.sh --smoke serve-hot serve-miss (release serve against the byte-for-byte oracle)"
+echo "==> benchmark/run.sh --smoke serve-hot serve-miss bench-fits (release serve against the byte-for-byte oracle, bench against the pinned digests)"
 # Thousands of requests through the real accept path, each answer compared
-# byte for byte with an in-process ServeState::predict. The last stdout
-# line is the JSON result; it must report correct and no failed operation.
-SMOKE_RESULT="$(bash benchmark/run.sh --smoke serve-hot serve-miss | tail -n 1)"
+# byte for byte with an in-process ServeState::predict, and a release
+# `convmeter bench` run without fig6 whose artefacts must hash to the
+# pinned digests. The last stdout line is the JSON result; it must report
+# correct and no failed operation.
+SMOKE_RESULT="$(bash benchmark/run.sh --smoke serve-hot serve-miss bench-fits | tail -n 1)"
 if ! grep -q '"correct": true' <<<"$SMOKE_RESULT" || ! grep -q '"failed": 0,' <<<"$SMOKE_RESULT"; then
     echo "benchmark smoke failed: $SMOKE_RESULT" >&2
     exit 1
