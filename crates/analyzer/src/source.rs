@@ -135,12 +135,15 @@ impl serde::Serialize for SourceFile {
     fn to_value(&self) -> serde::value::Value {
         let allows: Vec<Allow> = self.allows.values().flatten().cloned().collect();
         serde::value::Value::Object(vec![
-            ("path".to_string(), self.path.to_value()),
-            ("tokens".to_string(), self.tokens.to_value()),
-            ("test_regions".to_string(), self.test_regions.to_value()),
-            ("allows".to_string(), allows.to_value()),
+            (serde::value::Key::from("path"), self.path.to_value()),
+            (serde::value::Key::from("tokens"), self.tokens.to_value()),
             (
-                "malformed_allows".to_string(),
+                serde::value::Key::from("test_regions"),
+                self.test_regions.to_value(),
+            ),
+            (serde::value::Key::from("allows"), allows.to_value()),
+            (
+                serde::value::Key::from("malformed_allows"),
                 self.malformed_allows.to_value(),
             ),
         ])

@@ -37,6 +37,7 @@ use convmeter::persist;
 use convmeter_hwsim::FaultProfile;
 use convmeter_metrics::obs;
 use serde::Serialize;
+use serde_json::Key;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -171,20 +172,28 @@ pub struct RunOutput {
     pub rendered: String,
 }
 
-/// One named JSON artefact.
+/// One named JSON artefact, already rendered.
 pub struct Artifact {
     /// File stem under the results directory.
     pub name: String,
-    /// The payload.
-    pub value: serde_json::Value,
+    /// Pretty-printed JSON, exactly the bytes written to disk.
+    json: String,
+    /// [`convmeter_graph::stable_digest`] of `json`.
+    hash: String,
 }
 
 impl Artifact {
-    /// Build an artefact from any serialisable result.
+    /// Render and digest an artefact from any serialisable result. This
+    /// runs inside the experiment's own job, so the value tree is dropped
+    /// here and [`Engine::run`] only writes text.
     pub fn json<T: Serialize>(name: &str, value: &T) -> Self {
+        let json = serde_json::to_string_pretty(value)
+            // analyzer:allow(CA0004, reason = "artefact values are plain data; canonical JSON serialisation cannot fail")
+            .expect("artefact values serialise");
         Artifact {
             name: name.to_string(),
-            value: serde_json::to_value(value),
+            hash: convmeter_graph::stable_digest(&json),
+            json,
         }
     }
 }
@@ -416,18 +425,18 @@ impl Serialize for Manifest {
         // field order included — then appends the v3 fields only when this
         // manifest actually used fault tolerance.
         let mut pairs = vec![
-            ("format_version".to_string(), self.format_version.to_value()),
-            ("jobs".to_string(), self.jobs.to_value()),
-            ("disk_cache".to_string(), self.disk_cache.to_value()),
-            ("experiments".to_string(), self.experiments.to_value()),
-            ("datasets".to_string(), self.datasets.to_value()),
+            (Key::from("format_version"), self.format_version.to_value()),
+            (Key::from("jobs"), self.jobs.to_value()),
+            (Key::from("disk_cache"), self.disk_cache.to_value()),
+            (Key::from("experiments"), self.experiments.to_value()),
+            (Key::from("datasets"), self.datasets.to_value()),
         ];
         if self.format_version >= MANIFEST_FORMAT_FAULTS {
-            pairs.push(("fault_profile".to_string(), self.fault_profile.to_value()));
-            pairs.push(("keep_going".to_string(), self.keep_going.to_value()));
-            pairs.push(("retries".to_string(), self.retries.to_value()));
-            pairs.push(("timeout_secs".to_string(), self.timeout_secs.to_value()));
-            pairs.push(("failures".to_string(), self.failures.to_value()));
+            pairs.push((Key::from("fault_profile"), self.fault_profile.to_value()));
+            pairs.push((Key::from("keep_going"), self.keep_going.to_value()));
+            pairs.push((Key::from("retries"), self.retries.to_value()));
+            pairs.push((Key::from("timeout_secs"), self.timeout_secs.to_value()));
+            pairs.push((Key::from("failures"), self.failures.to_value()));
         }
         serde_json::Value::Object(pairs)
     }
@@ -585,26 +594,22 @@ impl Engine {
             };
             // analyzer:allow(CP0001, reason = "each record owns its artefact list; one allocation per finished experiment, sized exactly")
             let mut artifacts = Vec::with_capacity(output.artifacts.len());
-            for artifact in &output.artifacts {
-                let json = serde_json::to_string_pretty(&artifact.value)
-                    // analyzer:allow(CA0004, reason = "artefact values are plain data; canonical JSON serialisation cannot fail")
-                    .expect("artefact values serialise");
+            for artifact in output.artifacts {
                 let path = self
                     .config
                     .results_dir
                     // analyzer:allow(CP0001, reason = "builds the artefact's on-disk path, once per persisted artefact; the adjacent write dwarfs it")
                     .join(format!("{}.json", artifact.name));
-                persist::write_atomic(&path, &json).map_err(|source| EngineError::Io {
+                persist::write_atomic(&path, &artifact.json).map_err(|source| EngineError::Io {
                     context: format!("artefact {}", path.display()),
                     source,
                 })?;
                 artifacts.push(ArtifactRecord {
-                    // analyzer:allow(CP0002, reason = "the manifest record owns its name; one copy per persisted artefact")
-                    name: artifact.name.clone(),
+                    name: artifact.name,
                     // analyzer:allow(CP0001, reason = "the manifest record owns its path string; one copy per persisted artefact")
                     path: path.display().to_string(),
-                    hash: convmeter_graph::stable_digest(&json),
-                    bytes: json.len(),
+                    hash: artifact.hash,
+                    bytes: artifact.json.len(),
                 });
             }
             records.push(ExperimentRecord {

@@ -15,7 +15,7 @@
 //! re-running shape inference once per block.
 
 use crate::forward::ForwardModel;
-use convmeter_graph::Graph;
+use convmeter_graph::{Graph, GraphError};
 use convmeter_metrics::ModelMetrics;
 use serde::{Deserialize, Serialize};
 
@@ -62,7 +62,7 @@ pub enum AnalysisError {
         graph_nodes: usize,
     },
     /// A registered block failed to validate.
-    Block(String),
+    Block(GraphError),
 }
 
 impl std::fmt::Display for AnalysisError {
@@ -137,7 +137,7 @@ mod tests {
     use super::*;
     use crate::dataset::inference_dataset;
     use convmeter_graph::layer::conv2d;
-    use convmeter_graph::{BlockSpan, Layer, NodeId, Shape};
+    use convmeter_graph::{BlockFault, BlockSpan, Layer, NodeId, Shape};
     use convmeter_hwsim::{DeviceProfile, SweepConfig};
     use convmeter_models::{random::random_convnet, zoo};
     use std::sync::OnceLock;
@@ -249,15 +249,38 @@ mod tests {
         let c1 = g.push(conv2d(4, 4, 3, 1, 1), vec![NodeId::INPUT], None);
         let c2 = g.push(conv2d(4, 4, 3, 1, 1), vec![NodeId::INPUT], None);
         g.push(Layer::Add, vec![c1, c2], None);
-        for span in [
-            BlockSpan::new("inverted", 2, 1),
-            BlockSpan::new("out_of_range", 1, 4),
-            BlockSpan::new("two_inputs", 2, 3),
+        let two_inputs = BlockFault::TwoInputs {
+            first: c1,
+            second: c2,
+        };
+        for (span, fault, message) in [
+            (
+                BlockSpan::new("inverted", 2, 1),
+                BlockFault::Span { start: 2, end: 1 },
+                "block error: invalid span 2..1",
+            ),
+            (
+                BlockSpan::new("out_of_range", 1, 4),
+                BlockFault::Span { start: 1, end: 4 },
+                "block error: invalid span 1..4",
+            ),
+            (
+                BlockSpan::new("two_inputs", 2, 3),
+                two_inputs,
+                "block error: block 'two_inputs' reads two external tensors \
+                 (nodes NodeId(0) and NodeId(1))",
+            ),
         ] {
+            let block = span.name.clone();
             let mut graph = g.clone();
             graph.add_block(span);
             let err = report(&graph, 1).unwrap_err();
-            assert!(matches!(err, AnalysisError::Block(_)), "{err}");
+            assert_eq!(err.to_string(), message);
+            assert!(
+                matches!(&err, AnalysisError::Block(GraphError::Block { block: b, fault: f })
+                    if *b == block && *f == fault),
+                "{err}"
+            );
         }
     }
 

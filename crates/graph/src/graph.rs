@@ -70,6 +70,35 @@ pub enum GraphError {
         /// What overflowed (e.g. `"FLOPs"`, `"element count"`).
         what: String,
     },
+    /// A block span is not a single-input slice of the graph
+    /// ([`Graph::block_input`]).
+    Block {
+        /// The block's name.
+        block: String,
+        /// What is wrong with it.
+        fault: BlockFault,
+    },
+}
+
+/// Why a block span has no unique input tensor.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum BlockFault {
+    /// The span is empty, inverted, or runs past the last node.
+    Span {
+        /// First node of the span.
+        start: usize,
+        /// One past the last node of the span.
+        end: usize,
+    },
+    /// Nodes inside the span read two different outside tensors.
+    TwoInputs {
+        /// The first outside tensor read.
+        first: NodeId,
+        /// A second, different one.
+        second: NodeId,
+    },
+    /// No node inside the span reads an outside tensor.
+    NoInput,
 }
 
 impl std::fmt::Display for GraphError {
@@ -96,6 +125,14 @@ impl std::fmt::Display for GraphError {
                 }
                 Ok(())
             }
+            GraphError::Block { block, fault } => match fault {
+                BlockFault::Span { start, end } => write!(f, "invalid span {start}..{end}"),
+                BlockFault::TwoInputs { first, second } => write!(
+                    f,
+                    "block '{block}' reads two external tensors (nodes {first:?} and {second:?})"
+                ),
+                BlockFault::NoInput => write!(f, "block '{block}' reads no external input"),
+            },
         }
     }
 }
@@ -295,9 +332,16 @@ impl Graph {
     /// repeated blocks (Bottleneck, InvertedResidual, MBConv, ...) the paper
     /// predicts. Errors on an invalid span, a block reading two external
     /// tensors, or a block reading none.
-    pub fn block_input(&self, span: &BlockSpan) -> Result<NodeId, String> {
+    pub fn block_input(&self, span: &BlockSpan) -> Result<NodeId, GraphError> {
+        let err = |fault| GraphError::Block {
+            block: span.name.clone(),
+            fault,
+        };
         if span.start >= span.end || span.end > self.nodes.len() {
-            return Err(format!("invalid span {}..{}", span.start, span.end));
+            return Err(err(BlockFault::Span {
+                start: span.start,
+                end: span.end,
+            }));
         }
         let mut external: Option<NodeId> = None;
         for node in &self.nodes[span.start..span.end] {
@@ -308,23 +352,23 @@ impl Graph {
                     match external {
                         None => external = Some(*input),
                         Some(e) if e == *input => {}
-                        Some(e) => {
-                            return Err(format!(
-                                "block '{}' reads two external tensors (nodes {:?} and {:?})",
-                                span.name, e, input
-                            ))
+                        Some(first) => {
+                            return Err(err(BlockFault::TwoInputs {
+                                first,
+                                second: *input,
+                            }))
                         }
                     }
                 }
             }
         }
-        external.ok_or_else(|| format!("block '{}' reads no external input", span.name))
+        external.ok_or_else(|| err(BlockFault::NoInput))
     }
 
     /// Extract a block span as a standalone graph whose input is the
     /// block's [`Self::block_input`].
     pub fn extract_block(&self, span: &BlockSpan) -> Result<Graph, String> {
-        let external = self.block_input(span)?;
+        let external = self.block_input(span).map_err(|e| e.to_string())?;
         let shapes = self
             .infer_shapes()
             .map_err(|e| format!("shape inference failed: {e}"))?;

@@ -37,7 +37,7 @@ pub use block::BlockSpan;
 pub use builder::GraphBuilder;
 pub use diagnostics::{codes, Diagnostic, LintReport, Severity};
 pub use fingerprint::{stable_digest, StableHasher};
-pub use graph::{Graph, GraphError, Node, NodeId, NodeShapes};
+pub use graph::{BlockFault, Graph, GraphError, Node, NodeId, NodeShapes};
 pub use layer::{Activation, Layer, PoolKind};
 pub use lint::{default_passes, lint_graph, lint_graph_with, LintContext, LintPass};
 pub use liveness::peak_activation_elements;

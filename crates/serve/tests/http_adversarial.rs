@@ -241,3 +241,33 @@ fn binary_garbage_maps_to_400() {
     );
     assert_eq!(status_of(&response), 400, "{response}");
 }
+
+#[test]
+fn deeply_nested_body_is_answered_400_and_the_server_lives_on() {
+    // 10 000 nested arrays are 20 kB, far under the body limit. An
+    // unbounded recursive parse overflows the worker's stack and aborts
+    // the whole process; the capped parse rejects the body at the
+    // 129th opener, byte 137.
+    let server = ephemeral();
+    let body = format!(
+        "{{\"graph\": {}{}}}",
+        "[".repeat(10_000),
+        "]".repeat(10_000)
+    );
+    let payload = format!(
+        "POST /predict HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    let response = raw_exchange(server.addr(), &[payload.as_bytes()], Duration::ZERO);
+    assert_eq!(status_of(&response), 400, "{response}");
+    assert!(
+        response.contains("invalid JSON: recursion limit exceeded at byte 137"),
+        "{response}"
+    );
+    let health = raw_exchange(
+        server.addr(),
+        &[b"GET /healthz HTTP/1.1\r\n\r\n"],
+        Duration::ZERO,
+    );
+    assert_eq!(status_of(&health), 200, "{health}");
+}
