@@ -15,6 +15,7 @@
 //! of 10–49× (a straggler, not a NaN — NaNs are dropped upstream by the
 //! dataset builders and never reach a fit).
 
+use crate::engine::pool;
 use crate::report::Table;
 use convmeter::features::forward_features;
 use convmeter::prelude::*;
@@ -91,9 +92,10 @@ pub fn run(points: &[InferencePoint]) -> ContaminationResult {
         .expect("clean fit");
     let truth: Vec<f64> = clean.predict_batch(&xs);
 
+    // The five rates are independent fits: run them on the pool at the
+    // engine's `--jobs` width. Rows come back in `RATES` order.
     let order = corruption_order(points.len());
-    let mut rows = Vec::with_capacity(RATES.len());
-    for &rate in &RATES {
+    let rows = pool::run_ordered(&RATES, convmeter_hwsim::sweep_jobs(), |_, &rate| {
         let corrupted = (rate * points.len() as f64).round() as usize;
         let mut ys = truth.clone();
         for &i in &order[..corrupted] {
@@ -107,15 +109,18 @@ pub fn run(points: &[InferencePoint]) -> ContaminationResult {
 
         let coefficients_identical = ols.coefficients() == robust.coefficients()
             && ols.intercept().to_bits() == robust.intercept().to_bits();
-        rows.push(ContaminationRow {
+        ContaminationRow {
             rate,
             corrupted,
             ols: ErrorReport::compute(&ols.predict_batch(&xs), &truth),
             robust: ErrorReport::compute(&robust.predict_batch(&xs), &truth),
             report,
             coefficients_identical,
-        });
-    }
+        }
+    })
+    // Re-raise a worker's panic here, so the attempt layer reports it
+    // exactly as it would an inline one.
+    .unwrap_or_else(|p| std::panic::resume_unwind(Box::new(p.message)));
     ContaminationResult {
         n: points.len(),
         rows,

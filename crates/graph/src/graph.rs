@@ -78,6 +78,9 @@ pub enum GraphError {
         /// What is wrong with it.
         fault: BlockFault,
     },
+    /// Shape inference over the enclosing graph failed while extracting a
+    /// block ([`Graph::extract_block`]).
+    BlockShapes(Box<GraphError>),
 }
 
 /// Why a block span has no unique input tensor.
@@ -133,11 +136,19 @@ impl std::fmt::Display for GraphError {
                 ),
                 BlockFault::NoInput => write!(f, "block '{block}' reads no external input"),
             },
+            GraphError::BlockShapes(source) => write!(f, "shape inference failed: {source}"),
         }
     }
 }
 
-impl std::error::Error for GraphError {}
+impl std::error::Error for GraphError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            GraphError::BlockShapes(source) => Some(source.as_ref()),
+            _ => None,
+        }
+    }
+}
 
 /// A ConvNet computational graph.
 ///
@@ -367,11 +378,11 @@ impl Graph {
 
     /// Extract a block span as a standalone graph whose input is the
     /// block's [`Self::block_input`].
-    pub fn extract_block(&self, span: &BlockSpan) -> Result<Graph, String> {
-        let external = self.block_input(span).map_err(|e| e.to_string())?;
+    pub fn extract_block(&self, span: &BlockSpan) -> Result<Graph, GraphError> {
+        let external = self.block_input(span)?;
         let shapes = self
             .infer_shapes()
-            .map_err(|e| format!("shape inference failed: {e}"))?;
+            .map_err(|e| GraphError::BlockShapes(Box::new(e)))?;
         let block_input_shape = if external == NodeId::INPUT {
             self.input_shape
         } else {
@@ -468,6 +479,27 @@ mod tests {
     }
 
     #[test]
+    fn block_extraction_types_shape_failures() {
+        let mut g = Graph::new("bad", Shape::image(3, 32));
+        g.push(
+            conv2d(5, 8, 3, 1, 1),
+            vec![NodeId::INPUT],
+            Some("stem".into()),
+        );
+        let err = g.extract_block(&BlockSpan::new("b", 0, 1)).unwrap_err();
+        let GraphError::BlockShapes(source) = &err else {
+            panic!("unexpected error {err:?}");
+        };
+        assert!(matches!(
+            **source,
+            GraphError::ShapeMismatch { node: 0, .. }
+        ));
+        assert_eq!(err.to_string(), format!("shape inference failed: {source}"));
+        let err = g.extract_block(&BlockSpan::new("b", 1, 1)).unwrap_err();
+        assert_eq!(err.to_string(), "invalid span 1..1");
+    }
+
+    #[test]
     #[should_panic(expected = "non-existent node")]
     fn forward_reference_panics_on_push() {
         let mut g = Graph::new("fwd", Shape::image(3, 32));
@@ -496,7 +528,16 @@ mod tests {
         let _ = g.push(Layer::Add, vec![c1, c2], None);
         // Span covering only the Add reads two distinct external tensors.
         let err = g.extract_block(&BlockSpan::new("bad", 2, 3)).unwrap_err();
-        assert!(err.contains("two external"), "{err}");
+        assert!(
+            matches!(
+                &err,
+                GraphError::Block {
+                    fault: BlockFault::TwoInputs { .. },
+                    ..
+                }
+            ),
+            "{err}"
+        );
     }
 
     #[test]

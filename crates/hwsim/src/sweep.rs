@@ -173,9 +173,10 @@ fn compiled_grid(config: &SweepConfig) -> Result<Vec<Arc<CompiledModel>>, SweepE
 }
 
 /// Evaluate one point-generator per grid pair across the ordered worker
-/// pool and flatten in grid order. Workers only fold cached cost tables —
-/// they emit no spans (spans are thread-local), and per-point seeding makes
-/// the output independent of scheduling.
+/// pool and flatten in grid order. Workers only fold cached cost tables;
+/// any span they did open would nest under the caller's (pool workers adopt
+/// the caller's span path), and per-point seeding makes the output
+/// independent of scheduling.
 fn sweep_points<S, F>(grid: &[Arc<CompiledModel>], points: F) -> Result<Vec<S>, SweepError>
 where
     S: Send,

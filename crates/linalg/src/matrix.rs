@@ -188,32 +188,6 @@ impl Matrix {
         }
         out
     }
-
-    /// Horizontally append a column of ones (for intercept terms).
-    pub fn with_ones_column(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, self.cols + 1);
-        for r in 0..self.rows {
-            out.row_mut(r)[..self.cols].copy_from_slice(self.row(r));
-            out[(r, self.cols)] = 1.0;
-        }
-        out
-    }
-
-    /// Vertically stack `self` on top of `other`.
-    ///
-    /// # Panics
-    /// Panics if the column counts differ.
-    pub fn vstack(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.cols, "vstack column mismatch");
-        let mut data = Vec::with_capacity((self.rows + other.rows) * self.cols);
-        data.extend_from_slice(&self.data);
-        data.extend_from_slice(&other.data);
-        Matrix {
-            rows: self.rows + other.rows,
-            cols: self.cols,
-            data,
-        }
-    }
 }
 
 impl Index<(usize, usize)> for Matrix {
@@ -311,24 +285,6 @@ mod tests {
         let a = Matrix::from_rows(&[vec![0.0], vec![1.0], vec![2.0], vec![3.0]]);
         let s = a.select_rows(&[3, 1]);
         assert_eq!(s.col(0), vec![3.0, 1.0]);
-    }
-
-    #[test]
-    fn with_ones_column_appends_intercept() {
-        let a = Matrix::from_rows(&[vec![5.0], vec![6.0]]);
-        let b = a.with_ones_column();
-        assert_eq!(b.cols(), 2);
-        assert_eq!(b.col(1), vec![1.0, 1.0]);
-        assert_eq!(b.col(0), vec![5.0, 6.0]);
-    }
-
-    #[test]
-    fn vstack_concatenates_rows() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0]]);
-        let b = Matrix::from_rows(&[vec![3.0, 4.0], vec![5.0, 6.0]]);
-        let s = a.vstack(&b);
-        assert_eq!(s.rows(), 3);
-        assert_eq!(s.row(2), &[5.0, 6.0]);
     }
 
     #[test]

@@ -64,15 +64,22 @@ pub struct HouseholderQr {
 impl HouseholderQr {
     /// Factor `a` (which must have `rows >= cols`).
     pub fn new(a: &Matrix) -> Result<Self, QrError> {
-        let _span = convmeter_obs::span!("linalg.qr.factor");
         let (m, n) = (a.rows(), a.cols());
+        let columns = (0..n)
+            .flat_map(|c| (0..m).map(move |r| a[(r, c)]))
+            .collect();
+        Self::factor(columns, m, n)
+    }
+
+    /// Factor the `rows x cols` matrix stored column-major in `qr`, in
+    /// place: the buffer becomes the factorisation.
+    fn factor(mut qr: Vec<f64>, m: usize, n: usize) -> Result<Self, QrError> {
+        debug_assert_eq!(qr.len(), m * n);
+        let _span = convmeter_obs::span!("linalg.qr.factor");
         if m < n {
             return Err(QrError::Underdetermined { rows: m, cols: n });
         }
         convmeter_obs::histogram!("linalg.qr.rows").record(m as u64);
-        let mut qr: Vec<f64> = (0..n)
-            .flat_map(|c| (0..m).map(move |r| a[(r, c)]))
-            .collect();
         let mut beta = vec![0.0; n];
         for k in 0..n {
             let (done, trailing) = qr.split_at_mut((k + 1) * m);
@@ -207,49 +214,70 @@ pub fn condition_estimate(a: &Matrix) -> Result<f64, QrError> {
     }
 }
 
-/// One-shot least squares: solve `min ||a x - b||`.
-pub fn lstsq(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, QrError> {
-    HouseholderQr::new(a)?.solve(b)
+/// A ridge-damped least-squares design, written once into the buffer it
+/// is factored in.
+///
+/// The buffer is column-major: each of the `cols` columns holds `obs`
+/// observation rows followed, when `lambda > 0`, by `cols` rows of
+/// `sqrt(lambda) * I`. Solving `min ||a x - b||² + lambda ||x||²` on the
+/// augmented system is then one in-place factorisation; `lambda = 0` is
+/// plain least squares.
+#[derive(Debug, Clone)]
+pub struct RidgeDesign {
+    data: Vec<f64>,
+    obs: usize,
+    rows: usize,
+    cols: usize,
 }
 
-/// Ridge-regularised least squares: solve `min ||a x - b||² + lambda ||x||²`
-/// by augmenting the system with `sqrt(lambda) * I` rows. `lambda = 0`
-/// reduces exactly to [`lstsq`].
-pub fn ridge_lstsq(a: &Matrix, b: &[f64], lambda: f64) -> Result<Vec<f64>, QrError> {
-    let [x] = ridge_lstsq_many(a, [b], lambda)?;
-    Ok(x)
-}
-
-/// [`ridge_lstsq`] for several right-hand sides against one factorisation
-/// of the (augmented) design. Each solution is bit-identical to the
-/// one-target call: the factorisation does not depend on `b`.
-pub fn ridge_lstsq_many<const N: usize>(
-    a: &Matrix,
-    bs: [&[f64]; N],
-    lambda: f64,
-) -> Result<[Vec<f64>; N], QrError> {
-    assert!(lambda >= 0.0, "ridge lambda must be non-negative");
-    let n = a.cols();
-    let qr = if lambda == 0.0 {
-        HouseholderQr::new(a)?
-    } else {
-        let mut reg = Matrix::zeros(n, n);
-        let s = lambda.sqrt();
-        for i in 0..n {
-            reg[(i, i)] = s;
+impl RidgeDesign {
+    /// A zeroed `obs x cols` design with its ridge rows (if any) in place.
+    pub fn new(obs: usize, cols: usize, lambda: f64) -> Self {
+        assert!(lambda >= 0.0, "ridge lambda must be non-negative");
+        let rows = if lambda == 0.0 { obs } else { obs + cols };
+        let mut data = vec![0.0; rows * cols];
+        if lambda > 0.0 {
+            // Column c's ridge entry sits at `c * rows + obs + c`.
+            let s = lambda.sqrt();
+            for x in data.iter_mut().skip(obs).step_by(rows + 1).take(cols) {
+                *x = s;
+            }
         }
-        HouseholderQr::new(&a.vstack(&reg))?
-    };
-    let mut solutions = [(); N].map(|()| Vec::new());
-    let mut rhs = Vec::with_capacity(qr.rows);
-    for (x, b) in solutions.iter_mut().zip(bs) {
-        assert_eq!(b.len(), a.rows(), "rhs length mismatch");
-        rhs.clear();
-        rhs.extend_from_slice(b);
-        rhs.resize(qr.rows, 0.0);
-        *x = qr.solve(&rhs)?;
+        Self {
+            data,
+            obs,
+            rows,
+            cols,
+        }
     }
-    Ok(solutions)
+
+    /// The observation rows of each column in turn, to fill or rescale in
+    /// place.
+    pub fn columns_mut(&mut self) -> impl Iterator<Item = &mut [f64]> {
+        let obs = self.obs;
+        // An empty design has no columns to yield, whatever the chunk size.
+        self.data
+            .chunks_exact_mut(self.rows.max(1))
+            .map(move |column| column.split_at_mut(obs).0)
+    }
+
+    /// Factor the design in place and solve it for every right-hand side
+    /// (one `obs`-long target each). Each solution is bit-identical to a
+    /// one-target solve: the factorisation does not depend on `b`.
+    pub fn solve<const N: usize>(self, bs: [&[f64]; N]) -> Result<[Vec<f64>; N], QrError> {
+        let obs = self.obs;
+        let qr = HouseholderQr::factor(self.data, self.rows, self.cols)?;
+        let mut solutions = [(); N].map(|()| Vec::new());
+        let mut rhs = Vec::with_capacity(qr.rows);
+        for (x, b) in solutions.iter_mut().zip(bs) {
+            assert_eq!(b.len(), obs, "rhs length mismatch");
+            rhs.clear();
+            rhs.extend_from_slice(b);
+            rhs.resize(qr.rows, 0.0);
+            *x = qr.solve(&rhs)?;
+        }
+        Ok(solutions)
+    }
 }
 
 /// The row-major factor/solve that [`HouseholderQr`] replaced, kept as the
@@ -332,6 +360,13 @@ mod reference {
         let (qr, beta) = factor(a);
         solve(&qr, &beta, b)
     }
+
+    /// `a` stacked on top of `b`.
+    pub fn vstack(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut data = a.as_slice().to_vec();
+        data.extend_from_slice(b.as_slice());
+        Matrix::from_vec(a.rows() + b.rows(), a.cols(), data)
+    }
 }
 
 #[cfg(test)]
@@ -340,6 +375,24 @@ mod tests {
 
     fn bits(x: &[f64]) -> Vec<u64> {
         x.iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn lstsq(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, QrError> {
+        HouseholderQr::new(a)?.solve(b)
+    }
+
+    /// `a` written column by column into a ridge design.
+    fn ridge_design(a: &Matrix, lambda: f64) -> RidgeDesign {
+        let mut design = RidgeDesign::new(a.rows(), a.cols(), lambda);
+        for (c, column) in design.columns_mut().enumerate() {
+            column.copy_from_slice(&a.col(c));
+        }
+        design
+    }
+
+    fn ridge_lstsq(a: &Matrix, b: &[f64], lambda: f64) -> Result<Vec<f64>, QrError> {
+        let [x] = ridge_design(a, lambda).solve([b])?;
+        Ok(x)
     }
 
     /// A deterministic `rows x cols` matrix and right-hand side with
@@ -408,7 +461,7 @@ mod tests {
                 reference::lstsq(&a, &b)
             } else {
                 rhs.extend(std::iter::repeat_n(0.0, n));
-                reference::lstsq(&a.vstack(&reg), &rhs)
+                reference::lstsq(&reference::vstack(&a, &reg), &rhs)
             };
             let got = ridge_lstsq(&a, &b, lambda).unwrap();
             assert_eq!(bits(&got), bits(&want.unwrap()), "lambda {lambda}");
@@ -440,7 +493,7 @@ mod tests {
         let (a, b1) = scaled_system(200, 5);
         let b2: Vec<f64> = b1.iter().map(|y| y * y - 1.0).collect();
         for lambda in [0.0, 1e-9] {
-            let [x1, x2] = ridge_lstsq_many(&a, [&b1, &b2], lambda).unwrap();
+            let [x1, x2] = ridge_design(&a, lambda).solve([&b1, &b2]).unwrap();
             assert_eq!(bits(&x1), bits(&ridge_lstsq(&a, &b1, lambda).unwrap()));
             assert_eq!(bits(&x2), bits(&ridge_lstsq(&a, &b2, lambda).unwrap()));
         }

@@ -7,8 +7,7 @@
 //! backward+gradient phase. [`LinearRegression`] is the single fitting
 //! routine behind all of those.
 
-use crate::matrix::Matrix;
-use crate::qr::{self, QrError};
+use crate::qr::{QrError, RidgeDesign};
 use crate::stats::ErrorReport;
 use serde::{Deserialize, Serialize};
 
@@ -136,19 +135,35 @@ impl LinearRegression {
         xs: &[Vec<f64>],
         targets: [&[f64]; N],
     ) -> Result<[Self; N], FitError> {
+        self.fit_rows(xs.len(), |i| (xs[i].as_slice(), 1.0), targets)
+    }
+
+    /// The fit behind every fit in this crate, over `obs` observations.
+    /// `row(i)` gives observation `i`'s features and its row weight `sw`:
+    /// design row `i` is the features followed by a 1 for the intercept
+    /// (when enabled), all multiplied by `sw` — weighted least squares by
+    /// √w row scaling, intercept column included. The caller scales the
+    /// targets to match. The design is written once, column-major, into
+    /// the buffer that is then scaled and factored in place.
+    pub(crate) fn fit_rows<'a, const N: usize>(
+        self,
+        obs: usize,
+        row: impl Fn(usize) -> (&'a [f64], f64),
+        targets: [&[f64]; N],
+    ) -> Result<[Self; N], FitError> {
         let _span = convmeter_obs::span!("linalg.fit");
         convmeter_obs::counter!("linalg.fits").add(N as u64);
         for ys in targets {
-            assert_eq!(xs.len(), ys.len(), "xs/ys length mismatch");
+            assert_eq!(obs, ys.len(), "xs/ys length mismatch");
         }
-        let n_features = xs.first().map_or(0, std::vec::Vec::len);
-        if xs.iter().any(|r| r.len() != n_features) {
+        let n_features = if obs == 0 { 0 } else { row(0).0.len() };
+        if (0..obs).any(|i| row(i).0.len() != n_features) {
             return Err(FitError::RaggedFeatures);
         }
         let unknowns = n_features + usize::from(self.with_intercept);
-        if xs.len() < unknowns {
+        if obs < unknowns {
             return Err(FitError::TooFewObservations {
-                have: xs.len(),
+                have: obs,
                 need: unknowns,
             });
         }
@@ -156,37 +171,30 @@ impl LinearRegression {
         // Column scaling: the ConvMeter metrics span ~12 orders of magnitude
         // (FLOPs ~1e9 vs. intercept ~1). Normalising each column by its max
         // absolute value keeps QR honest; coefficients are unscaled after.
-        let design = Matrix::from_rows(xs);
-        let design = if self.with_intercept {
-            design.with_ones_column()
-        } else {
-            design
-        };
-        let mut scales = vec![1.0f64; design.cols()];
-        for (c, scale) in scales.iter_mut().enumerate() {
-            let m = design
-                .col(c)
-                .iter()
-                .fold(0.0f64, |acc, &x| acc.max(x.abs()));
+        // The ridge rows below the observations stay unscaled.
+        let mut design = RidgeDesign::new(obs, unknowns, self.ridge_lambda);
+        let mut scales = vec![1.0f64; unknowns];
+        for ((c, column), scale) in design.columns_mut().enumerate().zip(&mut scales) {
+            for (i, v) in column.iter_mut().enumerate() {
+                let (x, sw) = row(i);
+                *v = if c < n_features { x[c] * sw } else { sw };
+            }
+            let m = column.iter().fold(0.0f64, |acc, &x| acc.max(x.abs()));
             if m > 0.0 {
                 *scale = m;
             }
-        }
-        let mut scaled = design;
-        for r in 0..scaled.rows() {
-            let row = scaled.row_mut(r);
-            for (c, v) in row.iter_mut().enumerate() {
-                *v /= scales[c];
+            for v in column.iter_mut() {
+                *v /= *scale;
             }
         }
 
-        let solutions = qr::ridge_lstsq_many(&scaled, targets, self.ridge_lambda)?;
+        let solutions = design.solve(targets)?;
         Ok(solutions.map(|mut coefs| {
             for (b, s) in coefs.iter_mut().zip(&scales) {
                 *b /= s;
             }
             let intercept = if self.with_intercept {
-                // analyzer:allow(CA0004, reason = "with_intercept appended the column, so the solution includes its coefficient")
+                // analyzer:allow(CA0004, reason = "the design carries the intercept column, so the solution includes its coefficient")
                 coefs.pop().expect("intercept column present")
             } else {
                 0.0
@@ -251,10 +259,7 @@ impl LinearRegression {
         self.with_intercept
     }
 
-    /// Assemble a fitted model from explicit parts. Used by
-    /// [`LinearRegression::fit_targets`] and by the robust fitting path
-    /// ([`crate::robust`]), which solves for the coefficients through its
-    /// own weighted design matrix.
+    /// Assemble a fitted model from explicit parts.
     pub(crate) fn from_parts(
         with_intercept: bool,
         ridge_lambda: f64,
@@ -267,6 +272,134 @@ impl LinearRegression {
             coefficients,
             intercept,
         }
+    }
+}
+
+/// The fit that [`LinearRegression::fit_rows`] replaced: the design copied
+/// into a row-major `Matrix`, widened by a ones column, stacked on its
+/// ridge rows, then copied again into the factorisation. Kept as the oracle
+/// the one-buffer fit must match bit for bit.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::{FitError, LinearRegression};
+    use crate::matrix::Matrix;
+    use crate::qr::HouseholderQr;
+
+    fn with_ones_column(a: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(a.rows(), a.cols() + 1);
+        for r in 0..a.rows() {
+            out.row_mut(r)[..a.cols()].copy_from_slice(a.row(r));
+            out[(r, a.cols())] = 1.0;
+        }
+        out
+    }
+
+    fn vstack(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut data = a.as_slice().to_vec();
+        data.extend_from_slice(b.as_slice());
+        Matrix::from_vec(a.rows() + b.rows(), a.cols(), data)
+    }
+
+    pub(crate) fn fit(
+        with_intercept: bool,
+        lambda: f64,
+        xs: &[Vec<f64>],
+        ys: &[f64],
+    ) -> Result<LinearRegression, FitError> {
+        let n_features = xs.first().map_or(0, Vec::len);
+        if xs.iter().any(|r| r.len() != n_features) {
+            return Err(FitError::RaggedFeatures);
+        }
+        let unknowns = n_features + usize::from(with_intercept);
+        if xs.len() < unknowns {
+            return Err(FitError::TooFewObservations {
+                have: xs.len(),
+                need: unknowns,
+            });
+        }
+        let design = Matrix::from_rows(xs);
+        let design = if with_intercept {
+            with_ones_column(&design)
+        } else {
+            design
+        };
+        let mut scales = vec![1.0f64; design.cols()];
+        for (c, scale) in scales.iter_mut().enumerate() {
+            let m = design
+                .col(c)
+                .iter()
+                .fold(0.0f64, |acc, &x| acc.max(x.abs()));
+            if m > 0.0 {
+                *scale = m;
+            }
+        }
+        let mut scaled = design;
+        for r in 0..scaled.rows() {
+            for (c, v) in scaled.row_mut(r).iter_mut().enumerate() {
+                *v /= scales[c];
+            }
+        }
+        let n = scaled.cols();
+        let mut rhs = ys.to_vec();
+        let qr = if lambda == 0.0 {
+            HouseholderQr::new(&scaled)?
+        } else {
+            let mut reg = Matrix::zeros(n, n);
+            for i in 0..n {
+                reg[(i, i)] = lambda.sqrt();
+            }
+            rhs.resize(ys.len() + n, 0.0);
+            HouseholderQr::new(&vstack(&scaled, &reg))?
+        };
+        let mut coefs = qr.solve(&rhs)?;
+        for (b, s) in coefs.iter_mut().zip(&scales) {
+            *b /= s;
+        }
+        let intercept = if with_intercept {
+            coefs.pop().unwrap()
+        } else {
+            0.0
+        };
+        Ok(LinearRegression::from_parts(
+            with_intercept,
+            lambda,
+            coefs,
+            intercept,
+        ))
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod test_support {
+    /// A small deterministic generator (xorshift64*) for random designs.
+    pub(crate) struct Rng(pub(crate) u64);
+
+    impl Rng {
+        /// Uniform in `[0, 1)`.
+        pub(crate) fn unit(&mut self) -> f64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            (self.0.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 11) as f64 / (1u64 << 53) as f64
+        }
+    }
+
+    /// Random `n x cols` feature rows with per-column scales from 1e-3 to
+    /// 1e9, like a ConvMeter design, and a noisy linear target.
+    pub(crate) fn random_design(rng: &mut Rng, n: usize, cols: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
+        let scales: Vec<f64> = (0..cols)
+            .map(|_| 10f64.powi((rng.unit() * 12.0) as i32 - 3))
+            .collect();
+        let coefs: Vec<f64> = scales.iter().map(|s| (rng.unit() + 0.1) / s).collect();
+        let mut xs = Vec::with_capacity(n);
+        let mut ys = Vec::with_capacity(n);
+        for _ in 0..n {
+            let row: Vec<f64> = scales.iter().map(|s| (rng.unit() + 0.05) * s).collect();
+            let y = 0.3 + row.iter().zip(&coefs).map(|(x, c)| x * c).sum::<f64>();
+            ys.push(y * (1.0 + 0.01 * (rng.unit() - 0.5)));
+            xs.push(row);
+        }
+        (xs, ys)
     }
 }
 
@@ -407,11 +540,6 @@ mod tests {
             .enumerate()
             .map(|(i, y)| y * (1.0 + 0.01 * (i as f64 * 0.9).sin()))
             .collect();
-        let bits = |m: &LinearRegression| {
-            let mut b: Vec<u64> = m.coefficients().iter().map(|c| c.to_bits()).collect();
-            b.push(m.intercept().to_bits());
-            b
-        };
         for (intercept, ridge) in [(true, 0.0), (true, 1e-9), (false, 1e-6)] {
             let builder = LinearRegression::new()
                 .with_intercept(intercept)
@@ -419,6 +547,54 @@ mod tests {
             let [a, b] = builder.clone().fit_targets(&xs, [&ys, &noisy]).unwrap();
             assert_eq!(bits(&a), bits(&builder.clone().fit(&xs, &ys).unwrap()));
             assert_eq!(bits(&b), bits(&builder.clone().fit(&xs, &noisy).unwrap()));
+        }
+    }
+
+    fn bits(m: &LinearRegression) -> Vec<u64> {
+        let mut b: Vec<u64> = m.coefficients().iter().map(|c| c.to_bits()).collect();
+        b.push(m.intercept().to_bits());
+        b
+    }
+
+    #[test]
+    fn one_buffer_fit_matches_matrix_reference_bitwise() {
+        use super::test_support::{random_design, Rng};
+        let mut rng = Rng(0x9e37_79b9_7f4a_7c15);
+        for trial in 0..24 {
+            let n = 8 + (rng.unit() * 300.0) as usize;
+            let cols = 1 + (rng.unit() * 6.0) as usize;
+            let (xs, ys) = random_design(&mut rng, n, cols);
+            let noisy: Vec<f64> = ys.iter().map(|y| y * (1.0 + rng.unit())).collect();
+            for intercept in [true, false] {
+                for lambda in [0.0, 1e-9, 0.5] {
+                    let builder = LinearRegression::new()
+                        .with_intercept(intercept)
+                        .with_ridge(lambda);
+                    let [a, b] = builder.clone().fit_targets(&xs, [&ys, &noisy]).unwrap();
+                    let want_a = reference::fit(intercept, lambda, &xs, &ys).unwrap();
+                    let want_b = reference::fit(intercept, lambda, &xs, &noisy).unwrap();
+                    let case = format!(
+                        "trial {trial}: {n}x{cols}, intercept {intercept}, lambda {lambda}"
+                    );
+                    assert_eq!(bits(&a), bits(&want_a), "{case}");
+                    assert_eq!(bits(&b), bits(&want_b), "{case}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_buffer_fit_matches_reference_errors() {
+        let collinear: Vec<Vec<f64>> = (1..20).map(|i| vec![i as f64, 2.0 * i as f64]).collect();
+        let ys: Vec<f64> = (1..20).map(|i| 5.0 * i as f64).collect();
+        for intercept in [true, false] {
+            assert_eq!(
+                LinearRegression::new()
+                    .with_intercept(intercept)
+                    .fit(&collinear, &ys)
+                    .unwrap_err(),
+                reference::fit(intercept, 0.0, &collinear, &ys).unwrap_err()
+            );
         }
     }
 

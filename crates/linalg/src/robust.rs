@@ -127,44 +127,19 @@ impl HuberRegression {
             .with_ridge(self.ridge_lambda)
     }
 
-    /// Solve a weighted least-squares problem by row-scaling with √w. The
-    /// intercept column (when enabled) must be scaled too, so it is made
-    /// explicit and the inner fit runs intercept-free.
+    /// Solve a weighted least-squares problem by row-scaling with √w:
+    /// `wys` holds the √w-scaled targets, and the design's rows (intercept
+    /// column included) are scaled as they are written.
     fn weighted_fit(
         &self,
         xs: &[Vec<f64>],
-        ys: &[f64],
-        weights: &[f64],
+        wys: &[f64],
+        sqrt_weights: &[f64],
     ) -> Result<LinearRegression, FitError> {
-        let mut wxs = Vec::with_capacity(xs.len());
-        let mut wys = Vec::with_capacity(ys.len());
-        for ((x, &y), &w) in xs.iter().zip(ys).zip(weights) {
-            let sw = w.sqrt();
-            // analyzer:allow(CP0003, reason = "each scaled row is owned by the weighted design matrix; the collect IS the output row, not a scratch buffer")
-            let mut row: Vec<f64> = x.iter().map(|v| v * sw).collect();
-            if self.with_intercept {
-                row.push(sw);
-            }
-            wxs.push(row);
-            wys.push(y * sw);
-        }
-        let solved = LinearRegression::new()
-            .with_intercept(false)
-            .with_ridge(self.ridge_lambda)
-            .fit(&wxs, &wys)?;
-        let mut coefs = solved.coefficients().to_vec();
-        let intercept = if self.with_intercept {
-            // analyzer:allow(CA0004, reason = "with_intercept appended the column, so the solution includes its coefficient")
-            coefs.pop().expect("intercept column present")
-        } else {
-            0.0
-        };
-        Ok(LinearRegression::from_parts(
-            self.with_intercept,
-            self.ridge_lambda,
-            coefs,
-            intercept,
-        ))
+        let [fitted] =
+            self.base()
+                .fit_rows(xs.len(), |i| (xs[i].as_slice(), sqrt_weights[i]), [wys])?;
+        Ok(fitted)
     }
 
     /// Fit robustly. Returns the fitted model and the contamination report.
@@ -199,17 +174,21 @@ impl HuberRegression {
         let mut model = base;
         let mut iterations = 0;
         let mut downweighted = 0;
-        // One weight buffer, refilled per IRLS iteration.
-        let mut weights = vec![1.0f64; n];
+        // √w and √w-scaled target buffers, refilled per IRLS iteration.
+        let mut sqrt_weights = vec![1.0f64; n];
+        let mut wys = vec![0.0f64; n];
         for _ in 0..self.max_iter {
-            for (w, r) in weights.iter_mut().zip(&res) {
-                *w = (self.tuning * scale / r.abs()).min(1.0);
+            downweighted = 0;
+            for (((sw, wy), r), &y) in sqrt_weights.iter_mut().zip(&mut wys).zip(&res).zip(ys) {
+                let w = (self.tuning * scale / r.abs()).min(1.0);
+                downweighted += usize::from(w < 1.0);
+                *sw = w.sqrt();
+                *wy = y * *sw;
             }
-            downweighted = weights.iter().filter(|&&w| w < 1.0).count();
             // A degenerate weighting (e.g. almost all mass on a few rows)
             // can make the weighted design deficient; keep the last good
             // model rather than failing the whole fit.
-            let Ok(next) = self.weighted_fit(xs, ys, &weights) else {
+            let Ok(next) = self.weighted_fit(xs, &wys, &sqrt_weights) else {
                 break;
             };
             iterations += 1;
@@ -235,10 +214,11 @@ impl HuberRegression {
             .collect();
         let unknowns = xs.first().map_or(0, std::vec::Vec::len) + usize::from(self.with_intercept);
         if keep.len() < n && keep.len() > unknowns {
-            // analyzer:allow(CP0002, reason = "the trimmed design matrix owns its surviving rows; built once after IRLS converges")
-            let txs: Vec<Vec<f64>> = keep.iter().map(|&i| xs[i].clone()).collect();
             let tys: Vec<f64> = keep.iter().map(|&i| ys[i]).collect();
-            if let Ok(trimmed) = self.base().fit(&txs, &tys) {
+            let trimmed =
+                self.base()
+                    .fit_rows(keep.len(), |j| (xs[keep[j]].as_slice(), 1.0), [&tys]);
+            if let Ok([trimmed]) = trimmed {
                 model = trimmed;
                 res = residuals(&model);
                 let s = robust_scale(&res);
@@ -296,6 +276,121 @@ fn coef_delta(a: &LinearRegression, b: &LinearRegression) -> f64 {
         worst = worst.max((x - y).abs() / denom);
     }
     worst
+}
+
+/// The robust fit before its solves moved onto one design buffer: every
+/// IRLS step built a fresh `Vec` per weighted row and fitted it through the
+/// `Matrix` reference path, and the trimmed refit cloned its rows. Kept as
+/// the oracle [`HuberRegression::fit`] must match bit for bit.
+#[cfg(test)]
+mod reference {
+    use super::{coef_delta, robust_scale, HuberRegression, RobustReport};
+    use crate::regression::{reference, FitError, LinearRegression};
+
+    fn weighted_fit(
+        h: &HuberRegression,
+        xs: &[Vec<f64>],
+        ys: &[f64],
+        weights: &[f64],
+    ) -> Result<LinearRegression, FitError> {
+        let mut wxs = Vec::with_capacity(xs.len());
+        let mut wys = Vec::with_capacity(ys.len());
+        for ((x, &y), &w) in xs.iter().zip(ys).zip(weights) {
+            let sw = w.sqrt();
+            let mut row: Vec<f64> = x.iter().map(|v| v * sw).collect();
+            if h.with_intercept {
+                row.push(sw);
+            }
+            wxs.push(row);
+            wys.push(y * sw);
+        }
+        let solved = reference::fit(false, h.ridge_lambda, &wxs, &wys)?;
+        let mut coefs = solved.coefficients().to_vec();
+        let intercept = if h.with_intercept {
+            coefs.pop().unwrap()
+        } else {
+            0.0
+        };
+        Ok(LinearRegression::from_parts(
+            h.with_intercept,
+            h.ridge_lambda,
+            coefs,
+            intercept,
+        ))
+    }
+
+    pub(super) fn fit(
+        h: &HuberRegression,
+        xs: &[Vec<f64>],
+        ys: &[f64],
+    ) -> Result<(LinearRegression, RobustReport), FitError> {
+        let base = reference::fit(h.with_intercept, h.ridge_lambda, xs, ys)?;
+        let n = ys.len();
+        let residuals = |m: &LinearRegression| -> Vec<f64> {
+            xs.iter().zip(ys).map(|(x, &y)| y - m.predict(x)).collect()
+        };
+        let mut res = residuals(&base);
+        let mut scale = robust_scale(&res);
+        let y_mag = ys.iter().fold(0.0f64, |a, &y| a.max(y.abs())).max(1.0);
+        if scale <= 1e-12 * y_mag || res.iter().all(|r| r.abs() <= h.tuning * scale) {
+            return Ok((base, RobustReport::clean(scale)));
+        }
+        let mut model = base;
+        let mut iterations = 0;
+        let mut downweighted = 0;
+        let mut weights = vec![1.0f64; n];
+        for _ in 0..h.max_iter {
+            for (w, r) in weights.iter_mut().zip(&res) {
+                *w = (h.tuning * scale / r.abs()).min(1.0);
+            }
+            downweighted = weights.iter().filter(|&&w| w < 1.0).count();
+            let Ok(next) = weighted_fit(h, xs, ys, &weights) else {
+                break;
+            };
+            iterations += 1;
+            let delta = coef_delta(&model, &next);
+            model = next;
+            res = residuals(&model);
+            let next_scale = robust_scale(&res);
+            if next_scale > 1e-12 * y_mag {
+                scale = next_scale;
+            }
+            if delta < h.tol {
+                break;
+            }
+        }
+        let keep: Vec<usize> = res
+            .iter()
+            .enumerate()
+            .filter(|(_, r)| r.abs() <= h.trim_z * scale)
+            .map(|(i, _)| i)
+            .collect();
+        let unknowns = xs.first().map_or(0, Vec::len) + usize::from(h.with_intercept);
+        if keep.len() < n && keep.len() > unknowns {
+            let txs: Vec<Vec<f64>> = keep.iter().map(|&i| xs[i].clone()).collect();
+            let tys: Vec<f64> = keep.iter().map(|&i| ys[i]).collect();
+            if let Ok(trimmed) = reference::fit(h.with_intercept, h.ridge_lambda, &txs, &tys) {
+                model = trimmed;
+                res = residuals(&model);
+                let s = robust_scale(&res);
+                if s > 1e-12 * y_mag {
+                    scale = s;
+                }
+            }
+        }
+        let outliers = res.iter().filter(|r| r.abs() > h.trim_z * scale).count();
+        Ok((
+            model,
+            RobustReport {
+                iterations,
+                scale,
+                outliers,
+                contamination: outliers as f64 / n.max(1) as f64,
+                downweighted,
+                ols_identical: false,
+            },
+        ))
+    }
 }
 
 #[cfg(test)]
@@ -418,6 +513,52 @@ mod tests {
             HuberRegression::new().fit(&xs, &ys),
             Err(FitError::TooFewObservations { .. })
         ));
+    }
+
+    #[test]
+    fn one_buffer_fit_matches_matrix_reference_bitwise() {
+        use crate::regression::test_support::{random_design, Rng};
+        let bits = |m: &LinearRegression, r: &RobustReport| {
+            let mut b: Vec<u64> = m.coefficients().iter().map(|c| c.to_bits()).collect();
+            b.extend([m.intercept().to_bits(), r.scale.to_bits()]);
+            b.extend([r.iterations, r.outliers, r.downweighted].map(|v| v as u64));
+            b.push(u64::from(r.ols_identical));
+            b
+        };
+        let mut rng = Rng(0x5851_f42d_4c95_7f2d);
+        let (mut irls, mut trimmed) = (0, 0);
+        for trial in 0..10 {
+            let n = 40 + (rng.unit() * 160.0) as usize;
+            let cols = 1 + (rng.unit() * 4.0) as usize;
+            let (xs, ys) = if trial % 2 == 0 {
+                random_design(&mut rng, n, cols)
+            } else {
+                let (xs, ys, ..) = eq2_data(n);
+                (xs, ys)
+            };
+            for rate in [0.0, 0.1, 0.2] {
+                let dirty = contaminate(&ys, rate);
+                for intercept in [true, false] {
+                    for lambda in [0.0, 1e-6] {
+                        let h = HuberRegression::new()
+                            .with_intercept(intercept)
+                            .with_ridge(lambda);
+                        let (got, got_report) = h.fit(&xs, &dirty).unwrap();
+                        let (want, want_report) = reference::fit(&h, &xs, &dirty).unwrap();
+                        assert_eq!(
+                            bits(&got, &got_report),
+                            bits(&want, &want_report),
+                            "trial {trial}: {n}x{cols}, rate {rate}, intercept {intercept}, lambda {lambda}"
+                        );
+                        irls += usize::from(got_report.iterations > 0);
+                        trimmed +=
+                            usize::from(got_report.iterations > 0 && got_report.outliers > 0);
+                    }
+                }
+            }
+        }
+        // The comparison must have exercised IRLS and the trimmed refit.
+        assert!(irls > 20 && trimmed > 20, "irls {irls}, trimmed {trimmed}");
     }
 
     #[test]

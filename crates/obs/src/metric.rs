@@ -13,7 +13,7 @@
 //! suffix to strip machine-dependent values.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Number of histogram buckets: bucket 0 holds zero values, bucket `i >= 1`
@@ -21,9 +21,29 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// `u64` range.
 pub const HISTOGRAM_BUCKETS: usize = 65;
 
-/// A monotonically increasing event counter.
+/// Shards per [`Counter`]. Threads take shards round-robin, so up to this
+/// many concurrent writers never share a cache line.
+const COUNTER_SHARDS: usize = 8;
+
+/// One counter shard on a cache line of its own.
 #[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
+#[repr(align(64))]
+struct Shard(AtomicU64);
+
+/// Source of each thread's shard index.
+static NEXT_SHARD: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    static SHARD: usize = NEXT_SHARD.fetch_add(1, Ordering::Relaxed) % COUNTER_SHARDS;
+}
+
+/// A monotonically increasing event counter.
+///
+/// Sharded per thread: an increment touches only the calling thread's
+/// cache-line-padded slot, so sweep workers bumping the same per-layer
+/// counter do not bounce one line between cores. Reads sum the slots.
+#[derive(Debug, Default)]
+pub struct Counter([Shard; COUNTER_SHARDS]);
 
 impl Counter {
     /// Add one.
@@ -33,16 +53,21 @@ impl Counter {
 
     /// Add `n`.
     pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
+        let shard = SHARD.with(|&i| i);
+        self.0[shard].0.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Current value.
+    /// Current value: the sum over every thread's shard.
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
+        self.0
+            .iter()
+            .fold(0u64, |sum, s| sum.wrapping_add(s.0.load(Ordering::Relaxed)))
     }
 
     fn reset(&self) {
-        self.0.store(0, Ordering::Relaxed);
+        for s in &self.0 {
+            s.0.store(0, Ordering::Relaxed);
+        }
     }
 }
 
@@ -347,6 +372,24 @@ mod tests {
         // Interning: the same name yields the same cell.
         counter("test.metric.counter").inc();
         assert_eq!(c.get(), 6);
+    }
+
+    #[test]
+    fn sharded_counter_sums_threads_exactly_and_resets_every_shard() {
+        let c = Counter::default();
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    for _ in 0..10_000 {
+                        c.inc();
+                    }
+                });
+            }
+        });
+        assert_eq!(c.get(), 40_000);
+        c.reset();
+        assert_eq!(c.get(), 0);
+        assert!(c.0.iter().all(|s| s.0.load(Ordering::Relaxed) == 0));
     }
 
     #[test]

@@ -8,6 +8,13 @@
 //! per span ("lock-free-ish": the common case is two `Instant` reads and a
 //! thread-local map update).
 //!
+//! Worker threads can *adopt* a caller's open span path
+//! ([`current_path`] on the caller, [`adopt`] on the worker): the worker's
+//! spans then nest under the caller's in the aggregated tree instead of
+//! landing at its root. `convmeter_pool::run_ordered` does this for every
+//! worker it spawns, nested pools included, so a parallel run aggregates
+//! into the same tree as a sequential one.
+//!
 //! Spans close on panic unwinding too — the guard's `Drop` runs during
 //! unwind — so a panicking experiment still reports the time it spent.
 //!
@@ -110,7 +117,19 @@ impl Default for SpanAgg {
 struct LocalState {
     generation: u64,
     root: SpanAgg,
+    /// Adopted ancestry ([`adopt`]): spans on this thread nest under it.
+    base: Vec<SpanName>,
     stack: Vec<(SpanName, Instant)>,
+}
+
+impl LocalState {
+    /// Drop everything recorded for an older session and join `generation`.
+    fn rebase(&mut self, generation: u64) {
+        self.generation = generation;
+        self.root = SpanAgg::new();
+        self.base.clear();
+        self.stack.clear();
+    }
 }
 
 thread_local! {
@@ -118,9 +137,75 @@ thread_local! {
         RefCell::new(LocalState {
             generation: 0,
             root: SpanAgg::new(),
+            base: Vec::new(),
             stack: Vec::new(),
         })
     };
+}
+
+/// The span ancestry open on one thread, for another thread to [`adopt`].
+#[derive(Debug, Clone, Default)]
+pub struct SpanPath {
+    generation: u64,
+    names: Vec<SpanName>,
+}
+
+/// The calling thread's open span path, outermost first, including any
+/// path the thread itself adopted (so nested pools nest all the way down).
+/// Empty when tracing is off.
+pub fn current_path() -> SpanPath {
+    if !enabled() {
+        return SpanPath::default();
+    }
+    let generation = GENERATION.load(Ordering::SeqCst);
+    LOCAL.with(|local| {
+        let local = local.borrow();
+        if local.generation != generation {
+            return SpanPath::default();
+        }
+        SpanPath {
+            generation,
+            names: local
+                .base
+                .iter()
+                .chain(local.stack.iter().map(|(name, _)| name))
+                // analyzer:allow(CP0002, reason = "once per pool fan-out: copies the caller's few open span names for its workers to adopt")
+                .cloned()
+                .collect(),
+        }
+    })
+}
+
+/// Nest every span this thread opens, until the returned guard drops,
+/// under `path` (taken by [`current_path`] on another thread). Call it with
+/// no span open on this thread — a pool worker right after it starts.
+pub fn adopt(path: &SpanPath) -> Adoption {
+    if path.names.is_empty() {
+        return Adoption { previous: None };
+    }
+    LOCAL.with(|local| {
+        let mut local = local.borrow_mut();
+        if local.generation != path.generation {
+            local.rebase(path.generation);
+        }
+        Adoption {
+            previous: Some(std::mem::replace(&mut local.base, path.names.clone())),
+        }
+    })
+}
+
+/// Guard returned by [`adopt`]; restores the thread's previous ancestry.
+#[must_use = "the adopted path only holds while the guard is alive"]
+pub struct Adoption {
+    previous: Option<Vec<SpanName>>,
+}
+
+impl Drop for Adoption {
+    fn drop(&mut self) {
+        if let Some(previous) = self.previous.take() {
+            LOCAL.with(|local| local.borrow_mut().base = previous);
+        }
+    }
 }
 
 /// Open a span. Drop the returned guard to close it; use [`crate::span!`]
@@ -135,9 +220,7 @@ pub fn span(name: impl Into<SpanName>) -> Span {
         if local.generation != generation {
             // A new session started since this thread last traced: drop
             // everything accumulated for the old one.
-            local.generation = generation;
-            local.root = SpanAgg::new();
-            local.stack.clear();
+            local.rebase(generation);
         }
         local.stack.push((name.into(), crate::clock::now()));
     });
@@ -170,20 +253,24 @@ impl Drop for Span {
                 return;
             };
             let elapsed = started.elapsed();
-            // Walk the local tree along the still-open ancestry, then the
-            // closing span's own name.
-            let path: Vec<SpanName> = local.stack.iter().map(|(n, _)| n.clone()).collect();
-            let mut node = &mut local.root;
-            for ancestor in path {
-                node = node.children.entry(ancestor).or_default();
+            // Walk the local tree along the adopted and the still-open
+            // ancestry, then the closing span's own name.
+            let LocalState {
+                root, base, stack, ..
+            } = &mut *local;
+            let ancestry = base.iter().chain(stack.iter().map(|(n, _)| n));
+            let mut node = &mut *root;
+            for ancestor in ancestry {
+                node = node.children.entry(ancestor.clone()).or_default();
             }
             let leaf = node.children.entry(name).or_default();
             leaf.count += 1;
             leaf.total += elapsed;
-            if local.stack.is_empty() {
+            if stack.is_empty() {
                 // Outermost span closed: publish this thread's tree in one
-                // locked merge and start fresh.
-                let tree = std::mem::take(&mut local.root);
+                // locked merge and start fresh. Adopted ancestors travel as
+                // zero-count nodes; the caller's own spans fill them in.
+                let tree = std::mem::take(root);
                 if GENERATION.load(Ordering::SeqCst) == generation {
                     lock_sink().merge_from(tree);
                 }
@@ -274,6 +361,73 @@ mod tests {
         let worker = snap.children.get("worker").expect("workers flushed");
         assert_eq!(worker.count, 4);
         assert_eq!(worker.children.get("worker_inner").unwrap().count, 4);
+    }
+
+    #[test]
+    fn adopted_paths_nest_nested_worker_spans_under_the_caller() {
+        let session = Session::begin();
+        {
+            let _outer = span("adopt.outer");
+            let caller = current_path();
+            std::thread::scope(|scope| {
+                for _ in 0..2 {
+                    scope.spawn(|| {
+                        let _adopted = adopt(&caller);
+                        let _inner = span("adopt.inner");
+                        // A pool inside a worker: its path must carry the
+                        // adopted ancestry, not just the worker's own stack.
+                        let worker = current_path();
+                        std::thread::scope(|scope| {
+                            for _ in 0..2 {
+                                scope.spawn(|| {
+                                    let _adopted = adopt(&worker);
+                                    let _leaf = span("adopt.leaf");
+                                });
+                            }
+                        });
+                    });
+                }
+            });
+        }
+        let snap = session.span_snapshot();
+        let roots: Vec<&str> = snap
+            .children
+            .keys()
+            .map(std::convert::AsRef::as_ref)
+            .filter(|k| k.starts_with("adopt."))
+            .collect();
+        assert_eq!(roots, ["adopt.outer"], "stray root nodes");
+        let outer = &snap.children["adopt.outer"];
+        assert_eq!(outer.count, 1);
+        assert_eq!(outer.children.len(), 1);
+        let inner = &outer.children["adopt.inner"];
+        assert_eq!(inner.count, 2);
+        assert_eq!(inner.children.len(), 1);
+        let leaf = &inner.children["adopt.leaf"];
+        assert_eq!(leaf.count, 4);
+        assert!(leaf.children.is_empty());
+    }
+
+    #[test]
+    fn adoption_ends_with_its_guard() {
+        let session = Session::begin();
+        let caller = {
+            let _outer = span("adopt_end.outer");
+            current_path()
+        };
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                {
+                    let _adopted = adopt(&caller);
+                    let _g = span("adopt_end.adopted");
+                }
+                let _g = span("adopt_end.free");
+            });
+        });
+        let snap = session.span_snapshot();
+        let outer = &snap.children["adopt_end.outer"];
+        assert_eq!(outer.children["adopt_end.adopted"].count, 1);
+        assert_eq!(snap.children["adopt_end.free"].count, 1);
     }
 
     #[test]

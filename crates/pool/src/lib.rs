@@ -18,6 +18,11 @@
 //! a peak-queue-depth gauge, and an items counter
 //! (`engine.pool.{workers,queue_depth_max,items}`).
 //!
+//! Every worker adopts the caller's open span path
+//! (`convmeter_obs::span::adopt`), so spans opened inside a work item nest
+//! under the span that was open around the `run_ordered` call — through
+//! nested pools too — exactly as they do when the items run inline.
+//!
 //! Retries and the watchdog are not the pool's business: the experiment
 //! engine wraps each item in its own per-attempt policy and hands the
 //! wrapped closure to [`run_ordered`] like any other caller.
@@ -134,6 +139,8 @@ pub fn collect_ordered<R>(
 ///
 /// With `jobs <= 1` (or a single item) everything runs on the calling
 /// thread, which keeps stack traces and panic messages simple in tests.
+/// Worker threads adopt the caller's open span path, so the span tree is
+/// the same either way.
 ///
 /// If any item's closure panics, the panic is caught and the call returns
 /// the [`WorkerPanic`] with the *lowest input index* (deterministic even
@@ -162,9 +169,13 @@ where
     }
     let next = AtomicUsize::new(0);
     let slots = new_slots(items.len());
+    let caller = obs::span::current_path();
     std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|| drain_work(&next, &slots, items, &run_one));
+            scope.spawn(|| {
+                let _adopted = obs::span::adopt(&caller);
+                drain_work(&next, &slots, items, &run_one);
+            });
         }
     });
     collect_ordered(&slots)
@@ -231,6 +242,29 @@ mod tests {
         // Lowest panicking index wins deterministically.
         assert_eq!(err.index, 3);
         assert_eq!(err.message, "item 3 exploded");
+    }
+
+    #[test]
+    fn nested_pool_spans_nest_under_the_caller() {
+        let session = obs::Session::begin();
+        {
+            let _outer = obs::span!("pool_nest.outer");
+            run_ordered(&[0, 1], 2, |_, _| {
+                let _inner = obs::span!("pool_nest.inner");
+                run_ordered(&[0, 1], 2, |_, _| {
+                    let _leaf = obs::span!("pool_nest.leaf");
+                })
+                .unwrap();
+            })
+            .unwrap();
+        }
+        let snap = session.span_snapshot();
+        let outer = &snap.children["pool_nest.outer"];
+        let inner = &outer.children["pool_nest.inner"];
+        assert_eq!(inner.count, 2);
+        assert_eq!(inner.children["pool_nest.leaf"].count, 4);
+        assert!(!snap.children.contains_key("pool_nest.inner"));
+        assert!(!snap.children.contains_key("pool_nest.leaf"));
     }
 
     #[test]

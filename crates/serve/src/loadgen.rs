@@ -252,7 +252,6 @@ fn run_client(
             }
             #[cfg(test)]
             ChaosAction::PanicForTest => {
-                // analyzer:allow(CA0004, reason = "test-only injected panic exercising the load generator's worker containment; the variant does not exist outside cfg(test)")
                 panic!("injected chaos panic (worker-containment test)");
             }
             fault => {

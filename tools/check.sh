@@ -52,6 +52,21 @@ test -f "$BENCH_TMP/manifest.json"
 test -f "$BENCH_TMP/ext_strategies.json"
 rm -rf "$BENCH_TMP"
 
+echo "==> convmeter bench --only contamination --jobs 2 (nested fan-out smoke run)"
+# Contamination fans its five fits out on the pool from inside an engine
+# worker whose sweeps fan out too. The artefact must still hash to the
+# pinned bench-fits digest.
+FANOUT_TMP="$(mktemp -d)"
+CONVMETER_RESULTS="$FANOUT_TMP" \
+    cargo run -q -p convmeter-cli --offline -- bench --only contamination --jobs 2 --no-cache >/dev/null
+FANOUT_WANT="$(awk '$1 == "contamination" { print $2 }' benchmark/expected/bench-fits.digests)"
+FANOUT_GOT="$(sed -n 's/^ *"hash": "\([0-9a-f]*\)",\{0,1\}$/\1/p' "$FANOUT_TMP/manifest.json")"
+if [[ -z "$FANOUT_WANT" || "$FANOUT_GOT" != "$FANOUT_WANT" ]]; then
+    echo "fan-out smoke: contamination hash '$FANOUT_GOT' != pinned '$FANOUT_WANT'" >&2
+    exit 1
+fi
+rm -rf "$FANOUT_TMP"
+
 echo "==> convmeter bench --faults ci-smoke --keep-going (fault-suite smoke run)"
 FAULT_TMP="$(mktemp -d)"
 CONVMETER_RESULTS="$FAULT_TMP" \
