@@ -48,8 +48,7 @@ impl PaleoModel {
     /// (metrics, batch, measured-seconds) triples.
     pub fn fit(data: &[(&ModelMetrics, usize, f64)]) -> Result<Self, FitError> {
         let _span = convmeter_metrics::obs::span!("baselines.fit.paleo");
-        // analyzer:allow(CP0001, reason = "materialises the owned design matrix, one row per training point; LinearRegression::fit requires owned rows")
-        let xs: Vec<Vec<f64>> = data.iter().map(|(m, b, _)| loads(m, *b).to_vec()).collect();
+        let xs: Vec<[f64; 2]> = data.iter().map(|(m, b, _)| loads(m, *b)).collect();
         let ys: Vec<f64> = data.iter().map(|(_, _, t)| *t).collect();
         let reg = LinearRegression::new().with_ridge(1e-9).fit(&xs, &ys)?;
         Ok(Self { reg })

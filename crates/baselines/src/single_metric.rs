@@ -57,8 +57,7 @@ impl SingleMetricModel {
     /// Fit on (metrics, measured-seconds) pairs.
     pub fn fit(metric: Metric, data: &[(BatchMetrics, f64)]) -> Result<Self, FitError> {
         let _span = convmeter_metrics::obs::span!("baselines.fit.single_metric");
-        // analyzer:allow(CP0001, reason = "materialises the owned design matrix, one row per training point; LinearRegression::fit requires owned rows")
-        let xs: Vec<Vec<f64>> = data.iter().map(|(m, _)| vec![metric.value(m)]).collect();
+        let xs: Vec<[f64; 1]> = data.iter().map(|(m, _)| [metric.value(m)]).collect();
         let ys: Vec<f64> = data.iter().map(|(_, t)| *t).collect();
         let reg = LinearRegression::new().fit(&xs, &ys)?;
         Ok(Self { metric, reg })

@@ -58,13 +58,15 @@ fn fit_subset(
     intercept: bool,
     ridge: f64,
 ) -> ErrorReport {
-    let xs: Vec<Vec<f64>> = data
+    // One flat buffer of `columns.len()`-wide rows, viewed row by row.
+    let flat: Vec<f64> = data
         .iter()
-        .map(|p| {
+        .flat_map(|p| {
             let f = forward_features(&p.metrics);
-            columns.iter().map(|&c| f[c]).collect()
+            columns.iter().map(move |&c| f[c])
         })
         .collect();
+    let xs: Vec<&[f64]> = flat.chunks_exact(columns.len()).collect();
     let ys: Vec<f64> = data.iter().map(|p| p.measured).collect();
     let reg = LinearRegression::new()
         .with_intercept(intercept)
@@ -169,7 +171,7 @@ pub fn run(
 
     // 7. BatchNorm folding.
     let fwd_model = {
-        let xs: Vec<Vec<f64>> = data.iter().map(|p| forward_features(&p.metrics)).collect();
+        let xs: Vec<[f64; 3]> = data.iter().map(|p| forward_features(&p.metrics)).collect();
         let ys: Vec<f64> = data.iter().map(|p| p.measured).collect();
         convmeter::ForwardModel::fit_raw(&xs, &ys).expect("fit")
     };

@@ -80,7 +80,7 @@ fn corruption_order(n: usize) -> Vec<usize> {
 /// path's clean-data short-circuit fires and the 0 % row is bit-identical
 /// by construction rather than merely close.
 pub fn run(points: &[InferencePoint]) -> ContaminationResult {
-    let xs: Vec<Vec<f64>> = points
+    let xs: Vec<[f64; 3]> = points
         .iter()
         .map(|p| forward_features(&p.metrics))
         .collect();

@@ -4,7 +4,7 @@
 use crate::report::Table;
 use convmeter::prelude::*;
 use convmeter::scalability::ThroughputPoint;
-use convmeter_distsim::ClusterConfig;
+use convmeter_distsim::{BatchStep, ClusterConfig, StepModel};
 use convmeter_hwsim::NoiseModel;
 use convmeter_linalg::stats::{mean, std_dev};
 use convmeter_metrics::ModelMetrics;
@@ -38,9 +38,12 @@ pub struct ScalingCurve {
     pub measured_std: Vec<f64>,
 }
 
+/// Mean and standard deviation of `repeats` noisy throughput measurements
+/// of `step` (one per-device batch of one model) on `nodes` nodes. Every
+/// repeat reuses the step's kernel times; only the noise differs.
 fn measure_throughput(
     device: &DeviceProfile,
-    metrics: &ModelMetrics,
+    step: &BatchStep<'_, '_>,
     batch: usize,
     nodes: usize,
     repeats: usize,
@@ -50,13 +53,20 @@ fn measure_throughput(
     let mut noise = NoiseModel::new(seed, device.noise_sigma);
     let samples: Vec<f64> = (0..repeats)
         .map(|_| {
-            let phases = convmeter_distsim::measure_distributed_step(
-                device, &cluster, metrics, batch, &mut noise,
-            );
+            let phases = step.measure(&cluster, &mut noise);
             (batch * cluster.total_devices()) as f64 / phases.total()
         })
         .collect();
     (mean(&samples), std_dev(&samples))
+}
+
+/// The per-model step terms of a one-node-or-more HPC cluster run.
+fn step_model<'a>(device: &'a DeviceProfile, metrics: &'a ModelMetrics) -> StepModel<'a> {
+    StepModel::new(
+        device,
+        metrics,
+        ClusterConfig::hpc_cluster(1).fusion_buffer_bytes,
+    )
 }
 
 /// Run Figure 8: throughput vs nodes at image 128, per-device batch 64.
@@ -73,10 +83,12 @@ pub fn fig8(held_out: &[TrainingModel]) -> Vec<ScalingCurve> {
     for (&model, fitted) in FIG8_MODELS.iter().zip(held_out) {
         let metrics = ModelMetrics::of(&zoo::by_name(model).unwrap().build(128, 1000)).unwrap();
         let predicted = throughput_vs_nodes(fitted, &metrics, 64, &nodes, 4);
+        let step_model = step_model(&device, &metrics);
+        let step = step_model.at_batch(64);
         let mut measured_mean = Vec::new();
         let mut measured_std = Vec::new();
         for (i, &n) in nodes.iter().enumerate() {
-            let (m, s) = measure_throughput(&device, &metrics, 64, n, 7, 0xF18 + i as u64);
+            let (m, s) = measure_throughput(&device, &step, 64, n, 7, 0xF18 + i as u64);
             measured_mean.push(m);
             measured_std.push(s);
         }
@@ -189,6 +201,7 @@ pub fn fig9(held_out: &[TrainingModel]) -> Vec<BatchCurve> {
     for (&model, fitted) in FIG9_MODELS.iter().zip(held_out) {
         let metrics = ModelMetrics::of(&zoo::by_name(model).unwrap().build(128, 1000)).unwrap();
         let predicted = throughput_vs_batch(fitted, &metrics, FIG9_BATCHES, 1, 4);
+        let step_model = step_model(&device, &metrics);
         let mut measured_mean = Vec::new();
         let mut measured_std = Vec::new();
         for (i, &b) in FIG9_BATCHES.iter().enumerate() {
@@ -197,7 +210,8 @@ pub fn fig9(held_out: &[TrainingModel]) -> Vec<BatchCurve> {
                 measured_std.push(None);
                 continue;
             }
-            let (m, s) = measure_throughput(&device, &metrics, b, 1, 7, 0xF19 + i as u64);
+            let step = step_model.at_batch(b);
+            let (m, s) = measure_throughput(&device, &step, b, 1, 7, 0xF19 + i as u64);
             measured_mean.push(Some(m));
             measured_std.push(Some(s));
         }

@@ -1,7 +1,9 @@
 //! `--jobs 2` must produce the same run as `--jobs 1`: identical artefact
 //! hashes, and every span a sequential run records, nested under its
 //! experiment in the manifest — including the spans of work that fans out
-//! on pool workers (contamination's rates, sweep points).
+//! on pool workers (leave-one-model-out folds, contamination's rates,
+//! sweep points). The run covers every experiment that reads a
+//! leave-one-model-out evaluation memo.
 //!
 //! Its own test binary: the compiled-model cache is process-global, so no
 //! other test may compile models while the two runs are compared.
@@ -13,6 +15,22 @@ use std::collections::BTreeMap;
 /// every experiment. Which experiment a shared dataset build or compile is
 /// credited to depends on the schedule, so per-experiment counts are not
 /// comparable across job counts; the totals are.
+/// Every experiment that reads an evaluation memo of the dataset store,
+/// and contamination, whose fits fan out on the pool.
+const EVALUATING: [&str; 11] = [
+    "table1",
+    "fig3",
+    "table2",
+    "fig4",
+    "table3",
+    "fig5",
+    "fig7",
+    "fig8",
+    "fig9",
+    "ablations",
+    "contamination",
+];
+
 fn run(jobs: usize) -> (BTreeMap<String, String>, BTreeMap<String, u64>) {
     convmeter_hwsim::compile::clear_cache();
     let dir = std::env::temp_dir().join(format!(
@@ -26,7 +44,7 @@ fn run(jobs: usize) -> (BTreeMap<String, String>, BTreeMap<String, u64>) {
         results_dir: dir.clone(),
         fault: Default::default(),
     };
-    let report = Engine::select(&["table3", "contamination"], config)
+    let report = Engine::select(&EVALUATING, config)
         .expect("registered experiments")
         .run()
         .expect("run succeeds");
@@ -49,7 +67,7 @@ fn run(jobs: usize) -> (BTreeMap<String, String>, BTreeMap<String, u64>) {
 fn jobs_2_matches_jobs_1_in_artefacts_and_span_totals() {
     let (hashes_1, spans_1) = run(1);
     let (hashes_2, spans_2) = run(2);
-    assert_eq!(hashes_1.len(), 2, "{hashes_1:?}");
+    assert_eq!(hashes_1.len(), EVALUATING.len(), "{hashes_1:?}");
     assert_eq!(
         hashes_1, hashes_2,
         "artefacts differ between --jobs 1 and 2"

@@ -5,15 +5,45 @@
 //! unbiased evaluation" (Section 4, Benchmarks). This module implements that
 //! protocol for both inference (Table 1) and training (Table 3), and emits
 //! the scatter data behind Figures 3–5 and 7.
+//!
+//! The folds are independent fits, so both evaluators run them on
+//! [`pool::run_ordered`] at the sweep worker count
+//! ([`convmeter_hwsim::sweep_jobs`]). Each fold reads its training rows by
+//! index from the one shared dataset; nothing is copied per fold. Fitted
+//! models come back in fold order and the held-out predictions are scored
+//! on the calling thread in that order, so the result — the first fold
+//! error included — is the same at every worker count.
 
 use crate::dataset::{InferencePoint, TrainingPoint};
 use crate::forward::ForwardModel;
 use crate::training::TrainingModel;
-use convmeter_linalg::cv::LeaveOneGroupOut;
+use convmeter_linalg::cv::{LeaveOneGroupOut, Split};
 use convmeter_linalg::stats::ErrorReport;
 use convmeter_linalg::FitError;
 use convmeter_metrics::{obs, ModelId};
+use convmeter_pool as pool;
 use serde::{Deserialize, Serialize};
+
+/// One leave-one-model-out split per ConvNet, in first-appearance order.
+fn model_splits(models: impl Iterator<Item = ModelId>) -> Vec<(&'static str, Split)> {
+    let groups: Vec<&str> = models.map(ModelId::as_str).collect();
+    LeaveOneGroupOut::splits(&groups)
+}
+
+/// Fit one model per split on up to `jobs` pool workers, from the split's
+/// training row indices. Returns the models in split order, or the error
+/// of the first split (in split order) whose fit failed.
+fn fit_folds<M: Send>(
+    splits: &[(&str, Split)],
+    jobs: usize,
+    fit: impl Fn(&[usize]) -> Result<M, FitError> + Sync,
+) -> Result<Vec<M>, FitError> {
+    pool::run_ordered(splits, jobs, |_, (_, split)| fit(&split.train))
+        // Re-raise a worker's panic here, exactly as an inline fit would.
+        .unwrap_or_else(|p| std::panic::resume_unwind(Box::new(p.message)))
+        .into_iter()
+        .collect()
+}
 
 /// Per-ConvNet error report (one row of Table 1 / Table 3).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -51,18 +81,21 @@ pub type InferenceEvaluation = (Vec<PerModelReport>, Vec<ScatterPoint>, ErrorRep
 pub fn leave_one_model_out_inference(
     points: &[InferencePoint],
 ) -> Result<InferenceEvaluation, FitError> {
+    lomo_inference(points, convmeter_hwsim::sweep_jobs())
+}
+
+/// [`leave_one_model_out_inference`] with its folds fitted `jobs` wide.
+fn lomo_inference(points: &[InferencePoint], jobs: usize) -> Result<InferenceEvaluation, FitError> {
     let _span = obs::span!("convmeter.eval");
-    let groups: Vec<&str> = points.iter().map(|p| p.model.as_str()).collect();
-    let splits = LeaveOneGroupOut::splits(&groups);
+    let splits = model_splits(points.iter().map(|p| p.model));
+    let folds = fit_folds(&splits, jobs, |train| {
+        ForwardModel::fit_rows(train.iter().map(|&i| &points[i]))
+    })?;
     let mut reports = Vec::with_capacity(splits.len());
     let mut scatter = Vec::with_capacity(points.len());
     let mut all_pred = Vec::with_capacity(points.len());
     let mut all_meas = Vec::with_capacity(points.len());
-    let mut train = Vec::with_capacity(points.len());
-    for (model_name, split) in splits {
-        train.clear();
-        train.extend(split.train.iter().map(|&i| points[i]));
-        let fitted = ForwardModel::fit(&train)?;
+    for ((model_name, split), fitted) in splits.iter().zip(&folds) {
         let start = all_pred.len();
         for &i in &split.test {
             let p = &points[i];
@@ -147,9 +180,18 @@ pub fn leave_one_model_out_training(
 pub fn leave_one_model_out_training_folds(
     points: &[TrainingPoint],
 ) -> Result<TrainingEvaluation, FitError> {
+    lomo_training(points, convmeter_hwsim::sweep_jobs())
+}
+
+/// [`leave_one_model_out_training_folds`] with its folds fitted `jobs`
+/// wide.
+fn lomo_training(points: &[TrainingPoint], jobs: usize) -> Result<TrainingEvaluation, FitError> {
     let _span = obs::span!("convmeter.eval");
-    let groups: Vec<&str> = points.iter().map(|p| p.model.as_str()).collect();
-    let splits = LeaveOneGroupOut::splits(&groups);
+    let splits = model_splits(points.iter().map(|p| p.model));
+    let folds = fit_folds(&splits, jobs, |train| {
+        let rows: Vec<&TrainingPoint> = train.iter().map(|&i| &points[i]).collect();
+        TrainingModel::fit_rows(&rows)
+    })?;
     let n = points.len();
     let (mut fwd, mut bwd, mut grad, mut step) = (
         Vec::with_capacity(n),
@@ -158,14 +200,9 @@ pub fn leave_one_model_out_training_folds(
         Vec::with_capacity(n),
     );
     let mut per_model = Vec::with_capacity(splits.len());
-    let mut folds = Vec::with_capacity(splits.len());
-    let mut train = Vec::with_capacity(n);
     let mut step_pred = Vec::with_capacity(n);
     let mut step_meas = Vec::with_capacity(n);
-    for (model_name, split) in splits {
-        train.clear();
-        train.extend(split.train.iter().map(|&i| points[i]));
-        let fitted = TrainingModel::fit(&train)?;
+    for ((model_name, split), fitted) in splits.iter().zip(&folds) {
         step_pred.clear();
         step_meas.clear();
         for &i in &split.test {
@@ -188,7 +225,6 @@ pub fn leave_one_model_out_training_folds(
             model: model_name.to_string(),
             report: ErrorReport::compute(&step_pred, &step_meas),
         });
-        folds.push(fitted);
     }
     let to_scatter = |phase: &str, pts: Vec<(ModelId, f64, f64)>| {
         let meas: Vec<f64> = pts.iter().map(|p| p.1).collect();
@@ -224,8 +260,7 @@ pub fn kfold_inference(points: &[InferencePoint], k: usize) -> Result<ErrorRepor
     let mut preds = Vec::with_capacity(points.len());
     let mut meas = Vec::with_capacity(points.len());
     for split in folds {
-        let train: Vec<InferencePoint> = split.train.iter().map(|&i| points[i]).collect();
-        let fitted = ForwardModel::fit(&train)?;
+        let fitted = ForwardModel::fit_rows(split.train.iter().map(|&i| &points[i]))?;
         for &i in &split.test {
             preds.push(fitted.predict(&points[i].metrics));
             meas.push(points[i].measured);
@@ -254,6 +289,107 @@ pub fn breakdown_by<K: Ord + Clone>(
         .collect()
 }
 
+/// The evaluators before their folds moved onto the pool: one fold after
+/// another on the calling thread, each fitting a copy of its training
+/// points and stopping at the first failed fit. Kept as the oracle the
+/// pooled folds must match bit for bit.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    pub(super) fn inference(points: &[InferencePoint]) -> Result<InferenceEvaluation, FitError> {
+        let groups: Vec<&str> = points.iter().map(|p| p.model.as_str()).collect();
+        let splits = LeaveOneGroupOut::splits(&groups);
+        let mut reports = Vec::new();
+        let mut scatter = Vec::new();
+        let mut all_pred = Vec::new();
+        let mut all_meas = Vec::new();
+        for (model_name, split) in splits {
+            let train: Vec<InferencePoint> = split.train.iter().map(|&i| points[i]).collect();
+            let fitted = ForwardModel::fit(&train)?;
+            let start = all_pred.len();
+            for &i in &split.test {
+                let p = &points[i];
+                let y_hat = fitted.predict(&p.metrics);
+                all_pred.push(y_hat);
+                all_meas.push(p.measured);
+                scatter.push(ScatterPoint {
+                    model: p.model,
+                    image_size: p.image_size,
+                    batch: p.batch,
+                    measured: p.measured,
+                    predicted: y_hat,
+                });
+            }
+            reports.push(PerModelReport {
+                model: model_name.to_string(),
+                report: ErrorReport::compute(&all_pred[start..], &all_meas[start..]),
+            });
+        }
+        let overall = ErrorReport::compute(&all_pred, &all_meas);
+        Ok((reports, scatter, overall))
+    }
+
+    pub(super) fn training(points: &[TrainingPoint]) -> Result<TrainingEvaluation, FitError> {
+        let groups: Vec<&str> = points.iter().map(|p| p.model.as_str()).collect();
+        let splits = LeaveOneGroupOut::splits(&groups);
+        let (mut fwd, mut bwd, mut grad, mut step) =
+            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        let mut per_model = Vec::new();
+        let mut folds = Vec::new();
+        for (model_name, split) in splits {
+            let train: Vec<TrainingPoint> = split.train.iter().map(|&i| points[i]).collect();
+            let fitted = TrainingModel::fit(&train)?;
+            let mut step_pred = Vec::new();
+            let mut step_meas = Vec::new();
+            for &i in &split.test {
+                let p = &points[i];
+                let name = p.model;
+                fwd.push((name, p.fwd, fitted.predict_forward(&p.metrics)));
+                bwd.push((name, p.bwd, fitted.predict_backward(&p.metrics)));
+                grad.push((
+                    name,
+                    p.grad,
+                    fitted.predict_grad_update(&p.metrics, p.nodes),
+                ));
+                let s = fitted.predict_step(&p.metrics, p.nodes);
+                step.push((name, p.step_time(), s));
+                step_pred.push(s);
+                step_meas.push(p.step_time());
+            }
+            per_model.push(PerModelReport {
+                model: model_name.to_string(),
+                report: ErrorReport::compute(&step_pred, &step_meas),
+            });
+            folds.push(fitted);
+        }
+        let to_scatter = |phase: &str, pts: Vec<(ModelId, f64, f64)>| {
+            let meas: Vec<f64> = pts.iter().map(|p| p.1).collect();
+            let pred: Vec<f64> = pts.iter().map(|p| p.2).collect();
+            PhaseScatter {
+                phase: phase.to_string(),
+                report: ErrorReport::compute(&pred, &meas),
+                points: pts,
+            }
+        };
+        let step = to_scatter("step", step);
+        let overall = step.report;
+        Ok(TrainingEvaluation {
+            phases: TrainingPhasesResult {
+                phases: vec![
+                    to_scatter("forward", fwd),
+                    to_scatter("backward", bwd),
+                    to_scatter("grad_update", grad),
+                    step,
+                ],
+                per_model,
+                overall,
+            },
+            folds,
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -276,6 +412,90 @@ mod tests {
         cfg.image_sizes = vec![64, 128, 224];
         cfg.batch_sizes = vec![1, 4, 16, 64, 256];
         cfg
+    }
+
+    /// The quick training sweep's points relabelled into three ConvNets of
+    /// `sizes[k]` points each, in first-appearance order.
+    fn relabelled(sizes: [usize; 3]) -> Vec<TrainingPoint> {
+        let data = training_dataset(&DeviceProfile::a100_80gb(), &SweepConfig::quick()).unwrap();
+        let names = ["net_a", "net_b", "net_c"].map(ModelId::intern);
+        let labels = names
+            .iter()
+            .zip(sizes)
+            .flat_map(|(&n, k)| std::iter::repeat_n(n, k));
+        data.iter()
+            .zip(labels)
+            .map(|(p, model)| TrainingPoint { model, ..*p })
+            .collect()
+    }
+
+    #[test]
+    fn pooled_inference_folds_match_serial_reference_bitwise() {
+        let cpu = DeviceProfile::xeon_gold_5318y_core();
+        for device in [DeviceProfile::a100_80gb(), cpu] {
+            let data = inference_dataset(&device, &eval_config()).unwrap();
+            let want = format!("{:?}", reference::inference(&data).unwrap());
+            for jobs in [1, 2, 4] {
+                let got = format!("{:?}", lomo_inference(&data, jobs).unwrap());
+                assert_eq!(got, want, "jobs {jobs}");
+            }
+        }
+    }
+
+    #[test]
+    fn pooled_training_folds_match_serial_reference_bitwise() {
+        let device = DeviceProfile::a100_80gb();
+        let single = training_dataset(&device, &eval_config()).unwrap();
+        let mut dist = convmeter_distsim::DistSweepConfig::quick();
+        dist.models = ["resnet18", "alexnet", "resnet50", "mobilenet_v2"]
+            .map(String::from)
+            .into();
+        let multi = crate::dataset::distributed_dataset(&device, &dist).unwrap();
+        for data in [single, multi] {
+            let want = reference::training(&data).unwrap();
+            for jobs in [1, 2, 4] {
+                let got = lomo_training(&data, jobs).unwrap();
+                // Per-model reports, every phase's scatter points and
+                // report, and each fold's coefficients.
+                assert_eq!(format!("{:?}", got.phases), format!("{:?}", want.phases));
+                assert_eq!(got.folds.len(), want.folds.len());
+                for (g, w) in got.folds.iter().zip(&want.folds) {
+                    assert_eq!(format!("{g:?}"), format!("{w:?}"), "jobs {jobs}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn unfittable_second_fold_returns_the_serial_error() {
+        // Holding out net_b leaves 1 + 5 = 6 rows, one short of the fused
+        // model's 7 unknowns; the folds either side of it fit.
+        let data = relabelled([1, 6, 5]);
+        let want = reference::training(&data).unwrap_err();
+        assert_eq!(want, FitError::TooFewObservations { have: 6, need: 7 });
+        for jobs in [1, 2, 4] {
+            assert_eq!(lomo_training(&data, jobs).unwrap_err(), want, "jobs {jobs}");
+        }
+        // The same shape for the forward model's 4 unknowns: 1 + 2 rows.
+        let inference: Vec<InferencePoint> = relabelled([1, 6, 2])
+            .iter()
+            .map(|p| InferencePoint {
+                model: p.model,
+                image_size: p.image_size,
+                batch: p.batch,
+                metrics: p.metrics,
+                measured: p.fwd,
+            })
+            .collect();
+        let want = reference::inference(&inference).unwrap_err();
+        assert_eq!(want, FitError::TooFewObservations { have: 3, need: 4 });
+        for jobs in [1, 2, 4] {
+            assert_eq!(
+                lomo_inference(&inference, jobs).unwrap_err(),
+                want,
+                "jobs {jobs}"
+            );
+        }
     }
 
     #[test]

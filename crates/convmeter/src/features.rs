@@ -1,8 +1,9 @@
 //! Feature-vector construction: the bridge between static graph metrics and
 //! the regression models.
 //!
-//! All features are plain `f64` vectors; the constructors here fix the
-//! column order once so that fitting and prediction can never disagree.
+//! Every feature row is a fixed-size `f64` array, so building one never
+//! allocates; the constructors here fix the column order once so that
+//! fitting and prediction can never disagree.
 
 use convmeter_metrics::{BatchMetrics, ModelMetrics};
 
@@ -13,8 +14,8 @@ use convmeter_metrics::{BatchMetrics, ModelMetrics};
 /// compute layers": convolutions for ConvNets plus token ops (attention and
 /// per-token linears) for transformers. For pure ConvNets the token sums
 /// are zero, so this is exactly the paper's definition there.
-pub fn forward_features(m: &BatchMetrics) -> Vec<f64> {
-    vec![
+pub fn forward_features(m: &BatchMetrics) -> [f64; 3] {
+    [
         m.flops as f64,
         (m.conv_inputs + m.token_inputs) as f64,
         (m.conv_outputs + m.token_outputs) as f64,
@@ -22,19 +23,19 @@ pub fn forward_features(m: &BatchMetrics) -> Vec<f64> {
 }
 
 /// Gradient-update features for a single device: `[Layers]`.
-pub fn grad_features_single(m: &BatchMetrics) -> Vec<f64> {
-    vec![m.trainable_layers as f64]
+pub fn grad_features_single(m: &BatchMetrics) -> [f64; 1] {
+    [m.trainable_layers as f64]
 }
 
 /// Gradient-update features across nodes: `[Layers, Weights, Nodes]`.
-pub fn grad_features_multi(m: &BatchMetrics, nodes: usize) -> Vec<f64> {
-    vec![m.trainable_layers as f64, m.weights as f64, nodes as f64]
+pub fn grad_features_multi(m: &BatchMetrics, nodes: usize) -> [f64; 3] {
+    [m.trainable_layers as f64, m.weights as f64, nodes as f64]
 }
 
 /// Fused backward+gradient features (7 coefficients with the intercept):
 /// `[FLOPs, Inputs, Outputs, Layers, Weights, Nodes]`.
-pub fn bwd_grad_features(m: &BatchMetrics, nodes: usize) -> Vec<f64> {
-    vec![
+pub fn bwd_grad_features(m: &BatchMetrics, nodes: usize) -> [f64; 6] {
+    [
         m.flops as f64,
         (m.conv_inputs + m.token_inputs) as f64,
         (m.conv_outputs + m.token_outputs) as f64,
@@ -45,7 +46,7 @@ pub fn bwd_grad_features(m: &BatchMetrics, nodes: usize) -> Vec<f64> {
 }
 
 /// Scale model metrics to a batch and build forward features in one step.
-pub fn forward_features_at(metrics: &ModelMetrics, batch: usize) -> Vec<f64> {
+pub fn forward_features_at(metrics: &ModelMetrics, batch: usize) -> [f64; 3] {
     forward_features(&metrics.at_batch(batch))
 }
 

@@ -27,29 +27,23 @@ pub struct ForwardModel {
 impl ForwardModel {
     /// Fit the four coefficients on a benchmark dataset.
     pub fn fit(points: &[InferencePoint]) -> Result<Self, FitError> {
-        Self::fit_targeted(points, |p| p.measured)
+        Self::fit_rows(points.iter())
     }
 
-    /// Fit against an arbitrary target extractor (used to reuse the same
-    /// functional form for the backward pass).
-    pub fn fit_targeted(
-        points: &[InferencePoint],
-        target: impl Fn(&InferencePoint) -> f64,
+    /// Fit on the points `rows` yields, e.g. one leave-one-model-out fold's
+    /// training rows read by index from the shared dataset, so no fold
+    /// copies its points.
+    pub(crate) fn fit_rows<'a>(
+        rows: impl Iterator<Item = &'a InferencePoint> + Clone,
     ) -> Result<Self, FitError> {
         let _span = obs::span!("convmeter.fit.forward");
-        let xs: Vec<Vec<f64>> = points
-            .iter()
-            .map(|p| forward_features(&p.metrics))
-            .collect();
-        let ys: Vec<f64> = points.iter().map(target).collect();
-        let reg = LinearRegression::new()
-            .with_ridge(DEFAULT_RIDGE)
-            .fit(&xs, &ys)?;
-        Ok(Self { reg })
+        let xs: Vec<[f64; 3]> = rows.clone().map(|p| forward_features(&p.metrics)).collect();
+        let ys: Vec<f64> = rows.map(|p| p.measured).collect();
+        Self::fit_raw(&xs, &ys)
     }
 
     /// Fit directly from (features, time) pairs.
-    pub fn fit_raw(xs: &[Vec<f64>], ys: &[f64]) -> Result<Self, FitError> {
+    pub fn fit_raw(xs: &[impl AsRef<[f64]>], ys: &[f64]) -> Result<Self, FitError> {
         let reg = LinearRegression::new()
             .with_ridge(DEFAULT_RIDGE)
             .fit(xs, ys)?;
@@ -63,7 +57,7 @@ impl ForwardModel {
     /// report's `ols_identical` says so).
     pub fn fit_robust(points: &[InferencePoint]) -> Result<(Self, RobustReport), FitError> {
         let _span = obs::span!("convmeter.fit.forward_robust");
-        let xs: Vec<Vec<f64>> = points
+        let xs: Vec<[f64; 3]> = points
             .iter()
             .map(|p| forward_features(&p.metrics))
             .collect();
@@ -73,7 +67,10 @@ impl ForwardModel {
 
     /// Robust counterpart of [`ForwardModel::fit_raw`]: same ridge, same
     /// functional form, Huber-weighted solve.
-    pub fn fit_raw_robust(xs: &[Vec<f64>], ys: &[f64]) -> Result<(Self, RobustReport), FitError> {
+    pub fn fit_raw_robust(
+        xs: &[impl AsRef<[f64]>],
+        ys: &[f64],
+    ) -> Result<(Self, RobustReport), FitError> {
         let (reg, report) = HuberRegression::new()
             .with_ridge(DEFAULT_RIDGE)
             .fit(xs, ys)?;

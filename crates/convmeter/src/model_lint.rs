@@ -111,7 +111,7 @@ pub fn lint_measured_times(label: &str, times: &[f64]) -> LintReport {
 ///   when the fit predicts well.
 pub fn lint_design_matrix(points: &[InferencePoint]) -> LintReport {
     let mut diagnostics = Vec::new();
-    let rows: Vec<Vec<f64>> = points
+    let rows: Vec<[f64; 3]> = points
         .iter()
         .map(|p| forward_features(&p.metrics))
         .collect();
@@ -121,20 +121,22 @@ pub fn lint_design_matrix(points: &[InferencePoint]) -> LintReport {
     // Max-abs scale each column, mirroring LinearRegression's internal
     // normalisation, so the estimate reflects collinearity rather than the
     // wildly different magnitudes of FLOPs vs element counts.
-    let cols = rows[0].len();
-    let mut scales = vec![0.0f64; cols];
+    let mut scales = [0.0f64; 3];
     for row in &rows {
-        for (j, v) in row.iter().enumerate() {
-            scales[j] = scales[j].max(v.abs());
+        for (s, v) in scales.iter_mut().zip(row) {
+            *s = s.max(v.abs());
         }
     }
-    let scaled: Vec<Vec<f64>> = rows
+    let scaled: Vec<[f64; 3]> = rows
         .iter()
         .map(|row| {
-            row.iter()
-                .zip(&scales)
-                .map(|(v, s)| if *s > 0.0 { v / s } else { *v })
-                .collect()
+            let mut out = *row;
+            for (v, s) in out.iter_mut().zip(&scales) {
+                if *s > 0.0 {
+                    *v /= s;
+                }
+            }
+            out
         })
         .collect();
     match condition_estimate(&Matrix::from_rows(&scaled)) {

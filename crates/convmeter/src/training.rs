@@ -25,7 +25,12 @@ impl GradUpdateModel {
     /// `c1·L` model; all points feed the multi-node model. If the dataset
     /// has no single-node points, the multi-node model serves both queries.
     pub fn fit(points: &[TrainingPoint]) -> Result<Self, FitError> {
-        let multi_xs: Vec<Vec<f64>> = points
+        Self::fit_rows(&points.iter().collect::<Vec<_>>())
+    }
+
+    /// [`GradUpdateModel::fit`] on borrowed rows.
+    fn fit_rows(points: &[&TrainingPoint]) -> Result<Self, FitError> {
+        let multi_xs: Vec<[f64; 3]> = points
             .iter()
             .map(|p| grad_features_multi(&p.metrics, p.nodes))
             .collect();
@@ -35,9 +40,10 @@ impl GradUpdateModel {
             .with_ridge(DEFAULT_RIDGE)
             .fit(&multi_xs, &multi_ys)?;
 
-        let single_pts: Vec<&TrainingPoint> = points.iter().filter(|p| p.nodes == 1).collect();
+        let single_pts: Vec<&TrainingPoint> =
+            points.iter().copied().filter(|p| p.nodes == 1).collect();
         let single = if single_pts.len() >= 2 {
-            let xs: Vec<Vec<f64>> = single_pts
+            let xs: Vec<[f64; 1]> = single_pts
                 .iter()
                 .map(|p| grad_features_single(&p.metrics))
                 .collect();
@@ -88,8 +94,15 @@ impl TrainingModel {
     /// regime has too few rows and falls back to it; a regime that holds
     /// every point already is that fit.
     pub fn fit(points: &[TrainingPoint]) -> Result<Self, FitError> {
+        Self::fit_rows(&points.iter().collect::<Vec<_>>())
+    }
+
+    /// [`TrainingModel::fit`] on borrowed rows, e.g. one leave-one-model-out
+    /// fold's training rows read by index from the shared dataset, so no
+    /// fold copies its points.
+    pub(crate) fn fit_rows(points: &[&TrainingPoint]) -> Result<Self, FitError> {
         let _span = obs::span!("convmeter.fit.training");
-        let fwd_xs: Vec<Vec<f64>> = points
+        let fwd_xs: Vec<[f64; 3]> = points
             .iter()
             .map(|p| forward_features(&p.metrics))
             .collect();
@@ -98,14 +111,14 @@ impl TrainingModel {
         let [forward, backward] = LinearRegression::new()
             .with_ridge(DEFAULT_RIDGE)
             .fit_targets(&fwd_xs, [&fwd_ys, &bwd_ys])?;
-        let grad = GradUpdateModel::fit(points)?;
+        let grad = GradUpdateModel::fit_rows(points)?;
 
         // The fused model is fitted on the *sum* of the measured backward
         // and gradient-update phases (Section 3.3: "we apply linear
         // regression to our backward pass and gradient update equation
         // combined using the sum of the ... measurements").
         let fit_fused = |pts: &[&TrainingPoint]| -> Result<LinearRegression, FitError> {
-            let xs: Vec<Vec<f64>> = pts
+            let xs: Vec<[f64; 6]> = pts
                 .iter()
                 .map(|p| bwd_grad_features(&p.metrics, p.nodes))
                 .collect();
@@ -114,8 +127,10 @@ impl TrainingModel {
                 .with_ridge(DEFAULT_RIDGE)
                 .fit(&xs, &ys)
         };
-        let single_pts: Vec<&TrainingPoint> = points.iter().filter(|p| p.nodes == 1).collect();
-        let multi_pts: Vec<&TrainingPoint> = points.iter().filter(|p| p.nodes > 1).collect();
+        let single_pts: Vec<&TrainingPoint> =
+            points.iter().copied().filter(|p| p.nodes == 1).collect();
+        let multi_pts: Vec<&TrainingPoint> =
+            points.iter().copied().filter(|p| p.nodes > 1).collect();
         // Each regime needs enough rows for the 7 unknowns; otherwise fall
         // back to the all-data fit.
         let min_rows = 8;
@@ -129,7 +144,7 @@ impl TrainingModel {
             (Some(single), None) if single_pts.len() == points.len() => (single.clone(), single),
             (None, Some(multi)) if multi_pts.len() == points.len() => (multi.clone(), multi),
             (single, multi) => {
-                let fused_all = fit_fused(&points.iter().collect::<Vec<_>>())?;
+                let fused_all = fit_fused(points)?;
                 (
                     single.unwrap_or_else(|| fused_all.clone()),
                     multi.unwrap_or(fused_all),
@@ -154,7 +169,7 @@ impl TrainingModel {
     pub fn fit_robust(points: &[TrainingPoint]) -> Result<(Self, RobustReport), FitError> {
         let _span = obs::span!("convmeter.fit.training");
         let huber = || HuberRegression::new().with_ridge(DEFAULT_RIDGE);
-        let fwd_xs: Vec<Vec<f64>> = points
+        let fwd_xs: Vec<[f64; 3]> = points
             .iter()
             .map(|p| forward_features(&p.metrics))
             .collect();
@@ -166,7 +181,7 @@ impl TrainingModel {
 
         let fit_fused =
             |pts: &[&TrainingPoint]| -> Result<(LinearRegression, RobustReport), FitError> {
-                let xs: Vec<Vec<f64>> = pts
+                let xs: Vec<[f64; 6]> = pts
                     .iter()
                     .map(|p| bwd_grad_features(&p.metrics, p.nodes))
                     .collect();
@@ -338,7 +353,7 @@ mod tests {
     fn fit_component_by_component(points: &[TrainingPoint]) -> TrainingModel {
         let fwd_xs: Vec<Vec<f64>> = points
             .iter()
-            .map(|p| forward_features(&p.metrics))
+            .map(|p| forward_features(&p.metrics).to_vec())
             .collect();
         let fit = |xs: &[Vec<f64>], ys: Vec<f64>| {
             LinearRegression::new()
@@ -349,7 +364,7 @@ mod tests {
         let fused = |pts: Vec<&TrainingPoint>| {
             let xs: Vec<Vec<f64>> = pts
                 .iter()
-                .map(|p| bwd_grad_features(&p.metrics, p.nodes))
+                .map(|p| bwd_grad_features(&p.metrics, p.nodes).to_vec())
                 .collect();
             fit(&xs, pts.iter().map(|p| p.bwd + p.grad).collect())
         };

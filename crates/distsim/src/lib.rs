@@ -10,7 +10,8 @@
 //!   the backward pass are batched into fixed-size buckets and all-reduced
 //!   *while the backward pass is still running* (Figure 1 of the paper),
 //! * [`step`] — an analytic timeline simulation of one training step with
-//!   backward/communication overlap,
+//!   backward/communication overlap, split into per-model, per-batch and
+//!   per-cluster parts so a sweep evaluates each kernel time once,
 //! * [`parallel`] — the same step executed by real per-device threads
 //!   (`std::sync` mutex/condvar) rendezvousing at each all-reduce; device
 //!   stragglers are actually synchronised rather than approximated,
@@ -42,8 +43,7 @@ pub use parallel::simulate_step_threaded;
 pub use pipeline_sim::{simulate_pipeline, PipelineSimResult, SimStage};
 pub use ring::{all_reduce_time, all_reduce_time_with_dropout, reduce_scatter_time};
 pub use step::{
-    expected_distributed_phases, expected_distributed_phases_with_strategy,
-    measure_distributed_step, measure_distributed_step_faulted,
+    expected_distributed_phases, expected_distributed_phases_with_strategy, BatchStep, StepModel,
 };
 pub use strategies::{
     hierarchical_all_reduce_time, parameter_server_time, sync_time, SyncStrategy,

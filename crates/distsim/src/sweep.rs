@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use crate::cluster::ClusterConfig;
-use crate::step::{measure_distributed_step, measure_distributed_step_faulted};
+use crate::step::StepModel;
 use convmeter_hwsim::{
     compile, training_memory_bytes_compiled, DeviceProfile, FaultModel, FaultProfile, NoiseModel,
     SweepError, TrainingPhases, FAULT_SALT,
@@ -144,7 +144,9 @@ fn compiled_grid(config: &DistSweepConfig) -> Result<Vec<Arc<CompiledModel>>, Sw
 /// All (batch, nodes) points for one compiled pair. The step simulator
 /// consumes `ModelMetrics`, reassembled from the compiled table once per
 /// pair (bit-for-bit the extraction output); memory gating uses the
-/// compiled aggregates directly (exact integer arithmetic).
+/// compiled aggregates directly (exact integer arithmetic). The step's
+/// per-pair terms are computed once, its kernel times once per batch, and
+/// only the cluster-dependent finish once per node count.
 fn dist_points(
     device: &DeviceProfile,
     config: &DistSweepConfig,
@@ -152,29 +154,36 @@ fn dist_points(
     faults: Option<&FaultProfile>,
 ) -> Vec<DistTrainingSample> {
     let metrics = cm.to_metrics();
-    let mut out = Vec::with_capacity(config.batch_sizes.len() * config.node_counts.len());
+    let clusters: Vec<ClusterConfig> = config
+        .node_counts
+        .iter()
+        .map(|&nodes| ClusterConfig::hpc_cluster(nodes))
+        .collect();
+    let Some(fusion_buffer_bytes) = clusters.first().map(|c| c.fusion_buffer_bytes) else {
+        return Vec::new();
+    };
+    let model = StepModel::new(device, &metrics, fusion_buffer_bytes);
+    let mut out = Vec::with_capacity(config.batch_sizes.len() * clusters.len());
     for &batch in &config.batch_sizes {
         if training_memory_bytes_compiled(cm, batch) > device.memory_capacity {
             continue;
         }
-        for &nodes in &config.node_counts {
-            let cluster = ClusterConfig::hpc_cluster(nodes);
-            let seed = config.point_seed(cm.id.as_str(), cm.image_size, batch, nodes);
+        let step = model.at_batch(batch);
+        for cluster in &clusters {
+            let seed = config.point_seed(cm.id.as_str(), cm.image_size, batch, cluster.nodes);
             let mut noise = NoiseModel::new(seed, device.noise_sigma);
             let phases = match faults {
-                None => measure_distributed_step(device, &cluster, &metrics, batch, &mut noise),
+                None => step.measure(cluster, &mut noise),
                 Some(profile) => {
                     let mut fault = FaultModel::new(profile, seed ^ FAULT_SALT);
-                    measure_distributed_step_faulted(
-                        device, &cluster, &metrics, batch, &mut noise, &mut fault,
-                    )
+                    step.measure_faulted(cluster, &mut noise, &mut fault)
                 }
             };
             out.push(DistTrainingSample {
                 model: cm.id,
                 image_size: cm.image_size,
                 batch,
-                nodes,
+                nodes: cluster.nodes,
                 gpus_per_node: cluster.gpus_per_node,
                 phases,
             });

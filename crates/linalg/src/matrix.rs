@@ -56,11 +56,12 @@ impl Matrix {
     ///
     /// # Panics
     /// Panics if the rows are ragged.
-    pub fn from_rows(rows: &[Vec<f64>]) -> Self {
+    pub fn from_rows(rows: &[impl AsRef<[f64]>]) -> Self {
         let r = rows.len();
-        let c = rows.first().map_or(0, std::vec::Vec::len);
+        let c = rows.first().map_or(0, |row| row.as_ref().len());
         let mut data = Vec::with_capacity(r * c);
         for row in rows {
+            let row = row.as_ref();
             assert_eq!(row.len(), c, "ragged row in Matrix::from_rows");
             data.extend_from_slice(row);
         }

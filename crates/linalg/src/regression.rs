@@ -122,7 +122,7 @@ impl LinearRegression {
 
     /// Fit the model on feature rows `xs` and targets `ys`, consuming the
     /// builder and returning the fitted model.
-    pub fn fit(self, xs: &[Vec<f64>], ys: &[f64]) -> Result<Self, FitError> {
+    pub fn fit(self, xs: &[impl AsRef<[f64]>], ys: &[f64]) -> Result<Self, FitError> {
         let [fitted] = self.fit_targets(xs, [ys])?;
         Ok(fitted)
     }
@@ -132,10 +132,10 @@ impl LinearRegression {
     /// [`LinearRegression::fit`] on its target.
     pub fn fit_targets<const N: usize>(
         self,
-        xs: &[Vec<f64>],
+        xs: &[impl AsRef<[f64]>],
         targets: [&[f64]; N],
     ) -> Result<[Self; N], FitError> {
-        self.fit_rows(xs.len(), |i| (xs[i].as_slice(), 1.0), targets)
+        self.fit_rows(xs.len(), |i| (xs[i].as_ref(), 1.0), targets)
     }
 
     /// The fit behind every fit in this crate, over `obs` observations.
@@ -207,7 +207,7 @@ impl LinearRegression {
     /// in-sample error metrics.
     pub fn fit_with_summary(
         self,
-        xs: &[Vec<f64>],
+        xs: &[impl AsRef<[f64]>],
         ys: &[f64],
     ) -> Result<(Self, FitSummary), FitError> {
         let fitted = self.fit(xs, ys)?;
@@ -240,8 +240,8 @@ impl LinearRegression {
     }
 
     /// Predict a batch of observations.
-    pub fn predict_batch(&self, xs: &[Vec<f64>]) -> Vec<f64> {
-        xs.iter().map(|x| self.predict(x)).collect()
+    pub fn predict_batch(&self, xs: &[impl AsRef<[f64]>]) -> Vec<f64> {
+        xs.iter().map(|x| self.predict(x.as_ref())).collect()
     }
 
     /// The fitted feature coefficients.
@@ -580,6 +580,42 @@ mod tests {
                     assert_eq!(bits(&b), bits(&want_b), "{case}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn array_rows_match_vec_row_reference_bitwise() {
+        use super::test_support::{random_design, Rng};
+        fn arrays<const C: usize>(xs: &[Vec<f64>]) -> Vec<[f64; C]> {
+            xs.iter()
+                .map(|r| r.as_slice().try_into().unwrap())
+                .collect()
+        }
+        fn check<const C: usize>(rng: &mut Rng) {
+            let n = 8 + (rng.unit() * 200.0) as usize;
+            let (xs, ys) = random_design(rng, n, C);
+            let rows = arrays::<C>(&xs);
+            for intercept in [true, false] {
+                for lambda in [0.0, 1e-6] {
+                    let builder = LinearRegression::new()
+                        .with_intercept(intercept)
+                        .with_ridge(lambda);
+                    let want = reference::fit(intercept, lambda, &xs, &ys).unwrap();
+                    let [got] = builder.clone().fit_targets(&rows, [&ys]).unwrap();
+                    assert_eq!(bits(&got), bits(&want), "{n}x{C}");
+                    let got = builder.fit(&rows, &ys).unwrap();
+                    assert_eq!(bits(&got), bits(&want), "{n}x{C}");
+                    assert_eq!(got.predict_batch(&rows), want.predict_batch(&xs));
+                }
+            }
+        }
+        let mut rng = Rng(0x2545_f491_4f6c_dd1d);
+        for _ in 0..8 {
+            // The widths of the feature rows ConvMeter fits: gradient
+            // (single), forward and gradient (multi), fused.
+            check::<1>(&mut rng);
+            check::<3>(&mut rng);
+            check::<6>(&mut rng);
         }
     }
 

@@ -132,27 +132,30 @@ impl HuberRegression {
     /// column included) are scaled as they are written.
     fn weighted_fit(
         &self,
-        xs: &[Vec<f64>],
+        xs: &[impl AsRef<[f64]>],
         wys: &[f64],
         sqrt_weights: &[f64],
     ) -> Result<LinearRegression, FitError> {
         let [fitted] =
             self.base()
-                .fit_rows(xs.len(), |i| (xs[i].as_slice(), sqrt_weights[i]), [wys])?;
+                .fit_rows(xs.len(), |i| (xs[i].as_ref(), sqrt_weights[i]), [wys])?;
         Ok(fitted)
     }
 
     /// Fit robustly. Returns the fitted model and the contamination report.
     pub fn fit(
         &self,
-        xs: &[Vec<f64>],
+        xs: &[impl AsRef<[f64]>],
         ys: &[f64],
     ) -> Result<(LinearRegression, RobustReport), FitError> {
         let _span = convmeter_obs::span!("linalg.robust_fit");
         let base = self.base().fit(xs, ys)?;
         let n = ys.len();
         let residuals = |m: &LinearRegression| -> Vec<f64> {
-            xs.iter().zip(ys).map(|(x, &y)| y - m.predict(x)).collect()
+            xs.iter()
+                .zip(ys)
+                .map(|(x, &y)| y - m.predict(x.as_ref()))
+                .collect()
         };
 
         let mut res = residuals(&base);
@@ -212,12 +215,13 @@ impl HuberRegression {
             .filter(|(_, r)| r.abs() <= self.trim_z * scale)
             .map(|(i, _)| i)
             .collect();
-        let unknowns = xs.first().map_or(0, std::vec::Vec::len) + usize::from(self.with_intercept);
+        let unknowns =
+            xs.first().map_or(0, |x| x.as_ref().len()) + usize::from(self.with_intercept);
         if keep.len() < n && keep.len() > unknowns {
             let tys: Vec<f64> = keep.iter().map(|&i| ys[i]).collect();
-            let trimmed =
-                self.base()
-                    .fit_rows(keep.len(), |j| (xs[keep[j]].as_slice(), 1.0), [&tys]);
+            let trimmed = self
+                .base()
+                .fit_rows(keep.len(), |j| (xs[keep[j]].as_ref(), 1.0), [&tys]);
             if let Ok([trimmed]) = trimmed {
                 model = trimmed;
                 res = residuals(&model);
@@ -559,6 +563,33 @@ mod tests {
         }
         // The comparison must have exercised IRLS and the trimmed refit.
         assert!(irls > 20 && trimmed > 20, "irls {irls}, trimmed {trimmed}");
+    }
+
+    #[test]
+    fn array_rows_match_vec_row_reference_bitwise() {
+        let bits = |m: &LinearRegression, r: &RobustReport| {
+            let mut b: Vec<u64> = m.coefficients().iter().map(|c| c.to_bits()).collect();
+            b.extend([m.intercept().to_bits(), r.scale.to_bits()]);
+            b.extend([r.iterations, r.outliers, r.downweighted].map(|v| v as u64));
+            b
+        };
+        for n in [40, 90, 160] {
+            let (xs, ys, ..) = eq2_data(n);
+            let rows: Vec<[f64; 3]> = xs.iter().map(|r| [r[0], r[1], r[2]]).collect();
+            for rate in [0.0, 0.1, 0.2] {
+                let dirty = contaminate(&ys, rate);
+                for lambda in [0.0, 1e-6] {
+                    let h = HuberRegression::new().with_ridge(lambda);
+                    let (got, got_report) = h.fit(&rows, &dirty).unwrap();
+                    let (want, want_report) = reference::fit(&h, &xs, &dirty).unwrap();
+                    assert_eq!(
+                        bits(&got, &got_report),
+                        bits(&want, &want_report),
+                        "{n} rows, rate {rate}, lambda {lambda}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -52,19 +52,25 @@ test -f "$BENCH_TMP/manifest.json"
 test -f "$BENCH_TMP/ext_strategies.json"
 rm -rf "$BENCH_TMP"
 
-echo "==> convmeter bench --only contamination --jobs 2 (nested fan-out smoke run)"
-# Contamination fans its five fits out on the pool from inside an engine
-# worker whose sweeps fan out too. The artefact must still hash to the
-# pinned bench-fits digest.
+echo "==> convmeter bench --only table1,table3,contamination --jobs 2 (nested fan-out smoke run)"
+# table1 and table3 fit their leave-one-model-out folds on the pool, and
+# contamination its five rates, from inside engine workers whose sweeps fan
+# out too. Every artefact must still hash to its pinned bench-fits digest.
 FANOUT_TMP="$(mktemp -d)"
+FANOUT_EXPS="table1 table3 contamination"
 CONVMETER_RESULTS="$FANOUT_TMP" \
-    cargo run -q -p convmeter-cli --offline -- bench --only contamination --jobs 2 --no-cache >/dev/null
-FANOUT_WANT="$(awk '$1 == "contamination" { print $2 }' benchmark/expected/bench-fits.digests)"
-FANOUT_GOT="$(sed -n 's/^ *"hash": "\([0-9a-f]*\)",\{0,1\}$/\1/p' "$FANOUT_TMP/manifest.json")"
-if [[ -z "$FANOUT_WANT" || "$FANOUT_GOT" != "$FANOUT_WANT" ]]; then
-    echo "fan-out smoke: contamination hash '$FANOUT_GOT' != pinned '$FANOUT_WANT'" >&2
-    exit 1
-fi
+    cargo run -q -p convmeter-cli --offline -- bench --only "${FANOUT_EXPS// /,}" --jobs 2 --no-cache >/dev/null
+# "<artefact> <hash>" per artefact: a hash line follows its artefact's name.
+awk '/"name": / { name = $2 } /"hash": / { print name, $2 }' "$FANOUT_TMP/manifest.json" \
+    | tr -d '",' >"$FANOUT_TMP/hashes"
+for exp in $FANOUT_EXPS; do
+    FANOUT_WANT="$(awk -v e="$exp" '$1 == e { print $2 }' benchmark/expected/bench-fits.digests)"
+    FANOUT_GOT="$(awk -v e="$exp" '$1 == e { print $2 }' "$FANOUT_TMP/hashes")"
+    if [[ -z "$FANOUT_WANT" || "$FANOUT_GOT" != "$FANOUT_WANT" ]]; then
+        echo "fan-out smoke: $exp hash '$FANOUT_GOT' != pinned '$FANOUT_WANT'" >&2
+        exit 1
+    fi
+done
 rm -rf "$FANOUT_TMP"
 
 echo "==> convmeter bench --faults ci-smoke --keep-going (fault-suite smoke run)"
