@@ -15,12 +15,11 @@
 //! of 10–49× (a straggler, not a NaN — NaNs are dropped upstream by the
 //! dataset builders and never reach a fit).
 
-use crate::engine::pool;
 use crate::report::Table;
 use convmeter::features::forward_features;
 use convmeter::prelude::*;
 use convmeter_linalg::stats::ErrorReport;
-use convmeter_linalg::{HuberRegression, LinearRegression, RobustReport};
+use convmeter_linalg::{HuberRegression, LinearRegression, RobustFit, RobustReport};
 use serde::{Deserialize, Serialize};
 
 /// Contamination rates swept by the study.
@@ -92,35 +91,43 @@ pub fn run(points: &[InferencePoint]) -> ContaminationResult {
         .expect("clean fit");
     let truth: Vec<f64> = clean.predict_batch(&xs);
 
-    // The five rates are independent fits: run them on the pool at the
-    // engine's `--jobs` width. Rows come back in `RATES` order.
+    // One corrupted target per rate, all fitted in one robust call: one
+    // factorisation of the design serves every rate's OLS fit (the robust
+    // fit's base), and the rates' IRLS steps and trimmed refits are
+    // factored together.
     let order = corruption_order(points.len());
-    let rows = pool::run_ordered(&RATES, convmeter_hwsim::sweep_jobs(), |_, &rate| {
-        let corrupted = (rate * points.len() as f64).round() as usize;
+    let corrupted = RATES.map(|rate| (rate * points.len() as f64).round() as usize);
+    let targets = corrupted.map(|corrupted| {
         let mut ys = truth.clone();
         for &i in &order[..corrupted] {
             // Straggler spike: 10–49× the true time, hash-derived.
             let factor = 10.0 + (fnv1a(CONTAMINATION_SALT ^ 1, i as u64) % 40) as f64;
             ys[i] *= factor;
         }
+        ys
+    });
+    let fits = HuberRegression::new()
+        .fit_targets(&xs, targets.each_ref().map(Vec::as_slice))
+        .expect("robust fit");
 
-        let ols = LinearRegression::new().fit(&xs, &ys).expect("ols fit");
-        let (robust, report) = HuberRegression::new().fit(&xs, &ys).expect("robust fit");
-
-        let coefficients_identical = ols.coefficients() == robust.coefficients()
-            && ols.intercept().to_bits() == robust.intercept().to_bits();
-        ContaminationRow {
-            rate,
-            corrupted,
-            ols: ErrorReport::compute(&ols.predict_batch(&xs), &truth),
-            robust: ErrorReport::compute(&robust.predict_batch(&xs), &truth),
-            report,
-            coefficients_identical,
-        }
-    })
-    // Re-raise a worker's panic here, so the attempt layer reports it
-    // exactly as it would an inline one.
-    .unwrap_or_else(|p| std::panic::resume_unwind(Box::new(p.message)));
+    let rows = RATES
+        .into_iter()
+        .zip(corrupted)
+        .zip(fits)
+        .map(|((rate, corrupted), fit)| {
+            let RobustFit { ols, model, report } = fit;
+            let coefficients_identical = ols.coefficients() == model.coefficients()
+                && ols.intercept().to_bits() == model.intercept().to_bits();
+            ContaminationRow {
+                rate,
+                corrupted,
+                ols: ErrorReport::compute(&ols.predict_batch(&xs), &truth),
+                robust: ErrorReport::compute(&model.predict_batch(&xs), &truth),
+                report,
+                coefficients_identical,
+            }
+        })
+        .collect();
     ContaminationResult {
         n: points.len(),
         rows,

@@ -6,18 +6,22 @@
 //! protocol for both inference (Table 1) and training (Table 3), and emits
 //! the scatter data behind Figures 3–5 and 7.
 //!
-//! The folds are independent fits, so both evaluators run them on
+//! The folds are independent fits. Both evaluators hand them to
 //! [`pool::run_ordered`] at the sweep worker count
-//! ([`convmeter_hwsim::sweep_jobs`]). Each fold reads its training rows by
-//! index from the one shared dataset; nothing is copied per fold. Fitted
-//! models come back in fold order and the held-out predictions are scored
-//! on the calling thread in that order, so the result — the first fold
-//! error included — is the same at every worker count.
+//! ([`convmeter_hwsim::sweep_jobs`]) in fixed groups of [`LANES`]
+//! consecutive folds, whose designs are factored together in lockstep;
+//! the grouping does not depend on the worker count. Each fold reads its
+//! training rows by index from the one shared dataset; nothing is copied
+//! per fold. Fitted models come back in fold order and the held-out
+//! predictions are scored on the calling thread in that order, so the
+//! result — the first fold error included — is the same at every worker
+//! count.
 
 use crate::dataset::{InferencePoint, TrainingPoint};
 use crate::forward::ForwardModel;
-use crate::training::TrainingModel;
+use crate::training::{RowSets, TrainingModel};
 use convmeter_linalg::cv::{LeaveOneGroupOut, Split};
+use convmeter_linalg::qr::LANES;
 use convmeter_linalg::stats::ErrorReport;
 use convmeter_linalg::FitError;
 use convmeter_metrics::{obs, ModelId};
@@ -30,19 +34,25 @@ fn model_splits(models: impl Iterator<Item = ModelId>) -> Vec<(&'static str, Spl
     LeaveOneGroupOut::splits(&groups)
 }
 
-/// Fit one model per split on up to `jobs` pool workers, from the split's
-/// training row indices. Returns the models in split order, or the error
-/// of the first split (in split order) whose fit failed.
+/// Fit one model per split on up to `jobs` pool workers, `fit` taking a
+/// group of up to [`LANES`] consecutive splits' training row indices and
+/// returning one result per split. Returns the models in split order, or
+/// the error of the first split (in split order) whose fit failed.
 fn fit_folds<M: Send>(
     splits: &[(&str, Split)],
     jobs: usize,
-    fit: impl Fn(&[usize]) -> Result<M, FitError> + Sync,
+    fit: impl Fn(&[&[usize]]) -> Vec<Result<M, FitError>> + Sync,
 ) -> Result<Vec<M>, FitError> {
-    pool::run_ordered(splits, jobs, |_, (_, split)| fit(&split.train))
-        // Re-raise a worker's panic here, exactly as an inline fit would.
-        .unwrap_or_else(|p| std::panic::resume_unwind(Box::new(p.message)))
-        .into_iter()
-        .collect()
+    let groups: Vec<&[(&str, Split)]> = splits.chunks(LANES).collect();
+    pool::run_ordered(&groups, jobs, |_, group| {
+        let train: Vec<&[usize]> = group.iter().map(|(_, split)| &split.train[..]).collect();
+        fit(&train)
+    })
+    // Re-raise a worker's panic here, exactly as an inline fit would.
+    .unwrap_or_else(|p| std::panic::resume_unwind(Box::new(p.message)))
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
 /// Per-ConvNet error report (one row of Table 1 / Table 3).
@@ -88,8 +98,12 @@ pub fn leave_one_model_out_inference(
 fn lomo_inference(points: &[InferencePoint], jobs: usize) -> Result<InferenceEvaluation, FitError> {
     let _span = obs::span!("convmeter.eval");
     let splits = model_splits(points.iter().map(|p| p.model));
-    let folds = fit_folds(&splits, jobs, |train| {
-        ForwardModel::fit_rows(train.iter().map(|&i| &points[i]))
+    let folds = fit_folds(&splits, jobs, |group| {
+        ForwardModel::fit_batch(
+            group
+                .iter()
+                .map(|train| (train.len(), |i: usize| &points[train[i]])),
+        )
     })?;
     let mut reports = Vec::with_capacity(splits.len());
     let mut scatter = Vec::with_capacity(points.len());
@@ -188,9 +202,8 @@ pub fn leave_one_model_out_training_folds(
 fn lomo_training(points: &[TrainingPoint], jobs: usize) -> Result<TrainingEvaluation, FitError> {
     let _span = obs::span!("convmeter.eval");
     let splits = model_splits(points.iter().map(|p| p.model));
-    let folds = fit_folds(&splits, jobs, |train| {
-        let rows: Vec<&TrainingPoint> = train.iter().map(|&i| &points[i]).collect();
-        TrainingModel::fit_rows(&rows)
+    let folds = fit_folds(&splits, jobs, |group| {
+        TrainingModel::fit_batch(&RowSets::gather(points, group))
     })?;
     let n = points.len();
     let (mut fwd, mut bwd, mut grad, mut step) = (
@@ -257,10 +270,15 @@ fn lomo_training(points: &[TrainingPoint], jobs: usize) -> Result<TrainingEvalua
 /// the stricter leave-one-model-out protocol).
 pub fn kfold_inference(points: &[InferencePoint], k: usize) -> Result<ErrorReport, FitError> {
     let folds = convmeter_linalg::KFold::new(k).splits(points.len());
+    let fitted = ForwardModel::fit_batch(
+        folds
+            .iter()
+            .map(|split| (split.train.len(), |i: usize| &points[split.train[i]])),
+    );
     let mut preds = Vec::with_capacity(points.len());
     let mut meas = Vec::with_capacity(points.len());
-    for split in folds {
-        let fitted = ForwardModel::fit_rows(split.train.iter().map(|&i| &points[i]))?;
+    for (split, fitted) in folds.iter().zip(fitted) {
+        let fitted = fitted?;
         for &i in &split.test {
             preds.push(fitted.predict(&points[i].metrics));
             meas.push(points[i].measured);

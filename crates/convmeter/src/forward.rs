@@ -2,7 +2,8 @@
 
 use crate::dataset::InferencePoint;
 use crate::features::{forward_features, forward_features_at};
-use convmeter_linalg::{FitError, HuberRegression, LinearRegression, RobustReport};
+use convmeter_linalg::qr::only;
+use convmeter_linalg::{FitError, LinearRegression};
 use convmeter_metrics::{obs, BatchMetrics, ModelMetrics};
 use serde::{Deserialize, Serialize};
 
@@ -27,19 +28,37 @@ pub struct ForwardModel {
 impl ForwardModel {
     /// Fit the four coefficients on a benchmark dataset.
     pub fn fit(points: &[InferencePoint]) -> Result<Self, FitError> {
-        Self::fit_rows(points.iter())
+        only(Self::fit_batch([(points.len(), |i: usize| &points[i])]))
     }
 
-    /// Fit on the points `rows` yields, e.g. one leave-one-model-out fold's
-    /// training rows read by index from the shared dataset, so no fold
-    /// copies its points.
-    pub(crate) fn fit_rows<'a>(
-        rows: impl Iterator<Item = &'a InferencePoint> + Clone,
-    ) -> Result<Self, FitError> {
+    /// Fit one model per row set `(len, row)`, whose point `i` is
+    /// `row(i)` — e.g. leave-one-model-out folds reading their training
+    /// rows by index from the shared dataset, so no fold copies its points.
+    /// The sets' designs are factored [`LANES`](convmeter_linalg::qr::LANES)
+    /// at a time in lockstep; each model is bit-identical to a one-set fit.
+    pub(crate) fn fit_batch<'p>(
+        sets: impl IntoIterator<Item = (usize, impl Fn(usize) -> &'p InferencePoint)>,
+    ) -> Vec<Result<Self, FitError>> {
         let _span = obs::span!("convmeter.fit.forward");
-        let xs: Vec<[f64; 3]> = rows.clone().map(|p| forward_features(&p.metrics)).collect();
-        let ys: Vec<f64> = rows.map(|p| p.measured).collect();
-        Self::fit_raw(&xs, &ys)
+        let sets: Vec<_> = sets.into_iter().collect();
+        // Every set's measured times, back to back.
+        let ys: Vec<f64> = sets
+            .iter()
+            .flat_map(|(len, row)| (0..*len).map(move |i| row(i).measured))
+            .collect();
+        let mut start = 0;
+        let problems = sets.iter().map(|&(len, ref row)| {
+            let ys = &ys[start..][..len];
+            start += len;
+            let features = move |i: usize| forward_features(&row(i).metrics);
+            (len, features, [ys])
+        });
+        LinearRegression::new()
+            .with_ridge(DEFAULT_RIDGE)
+            .fit_batch(problems)
+            .into_iter()
+            .map(|fit| fit.map(|[reg]| Self { reg }))
+            .collect()
     }
 
     /// Fit directly from (features, time) pairs.
@@ -48,33 +67,6 @@ impl ForwardModel {
             .with_ridge(DEFAULT_RIDGE)
             .fit(xs, ys)?;
         Ok(Self { reg })
-    }
-
-    /// Outlier-robust fit (Huber IRLS + trimmed refit) on a benchmark
-    /// dataset that may contain straggler spikes or corrupted samples. When
-    /// the data is clean enough that no residual escapes the Huber band,
-    /// the returned model is bit-identical to [`ForwardModel::fit`] (the
-    /// report's `ols_identical` says so).
-    pub fn fit_robust(points: &[InferencePoint]) -> Result<(Self, RobustReport), FitError> {
-        let _span = obs::span!("convmeter.fit.forward_robust");
-        let xs: Vec<[f64; 3]> = points
-            .iter()
-            .map(|p| forward_features(&p.metrics))
-            .collect();
-        let ys: Vec<f64> = points.iter().map(|p| p.measured).collect();
-        Self::fit_raw_robust(&xs, &ys)
-    }
-
-    /// Robust counterpart of [`ForwardModel::fit_raw`]: same ridge, same
-    /// functional form, Huber-weighted solve.
-    pub fn fit_raw_robust(
-        xs: &[impl AsRef<[f64]>],
-        ys: &[f64],
-    ) -> Result<(Self, RobustReport), FitError> {
-        let (reg, report) = HuberRegression::new()
-            .with_ridge(DEFAULT_RIDGE)
-            .fit(xs, ys)?;
-        Ok((Self { reg }, report))
     }
 
     /// Predict from batch-scaled metrics.

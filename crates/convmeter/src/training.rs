@@ -7,7 +7,8 @@ use crate::features::{
     bwd_grad_features, forward_features, grad_features_multi, grad_features_single,
 };
 use crate::forward::DEFAULT_RIDGE;
-use convmeter_linalg::{FitError, HuberRegression, LinearRegression, RobustReport};
+use convmeter_linalg::qr::only;
+use convmeter_linalg::{FitError, LinearRegression};
 use convmeter_metrics::{obs, BatchMetrics, ModelMetrics};
 use serde::{Deserialize, Serialize};
 
@@ -25,37 +26,39 @@ impl GradUpdateModel {
     /// `c1·L` model; all points feed the multi-node model. If the dataset
     /// has no single-node points, the multi-node model serves both queries.
     pub fn fit(points: &[TrainingPoint]) -> Result<Self, FitError> {
-        Self::fit_rows(&points.iter().collect::<Vec<_>>())
+        only(Self::fit_batch(&RowSets::all(points)))
     }
 
-    /// [`GradUpdateModel::fit`] on borrowed rows.
-    fn fit_rows(points: &[&TrainingPoint]) -> Result<Self, FitError> {
-        let multi_xs: Vec<[f64; 3]> = points
-            .iter()
-            .map(|p| grad_features_multi(&p.metrics, p.nodes))
-            .collect();
-        let multi_ys: Vec<f64> = points.iter().map(|p| p.grad).collect();
-        let multi = LinearRegression::new()
+    /// [`GradUpdateModel::fit`] on each row set, each variant's designs
+    /// factored together across the sets.
+    fn fit_batch(sets: &RowSets) -> Vec<Result<Self, FitError>> {
+        let through_origin = LinearRegression::new()
             .with_intercept(false)
-            .with_ridge(DEFAULT_RIDGE)
-            .fit(&multi_xs, &multi_ys)?;
-
-        let single_pts: Vec<&TrainingPoint> =
-            points.iter().copied().filter(|p| p.nodes == 1).collect();
-        let single = if single_pts.len() >= 2 {
-            let xs: Vec<[f64; 1]> = single_pts
-                .iter()
-                .map(|p| grad_features_single(&p.metrics))
-                .collect();
-            let ys: Vec<f64> = single_pts.iter().map(|p| p.grad).collect();
-            LinearRegression::new()
-                .with_intercept(false)
-                .with_ridge(DEFAULT_RIDGE)
-                .fit(&xs, &ys)?
-        } else {
-            multi.clone()
-        };
-        Ok(Self { single, multi })
+            .with_ridge(DEFAULT_RIDGE);
+        let multi = fit_sets(
+            &through_origin,
+            &sets.sets(),
+            |p| grad_features_multi(&p.metrics, p.nodes),
+            [|p| p.grad],
+        );
+        let single_pts = sets.filtered(|nodes| nodes == 1);
+        let single = where_present(&single_pts.with_rows(2), |sets| {
+            fit_sets(
+                &through_origin,
+                sets,
+                |p| grad_features_single(&p.metrics),
+                [|p| p.grad],
+            )
+        });
+        multi
+            .into_iter()
+            .zip(single)
+            .map(|(multi, single)| {
+                let [multi] = multi?;
+                let single = single.transpose()?.map_or_else(|| multi.clone(), |[s]| s);
+                Ok(Self { single, multi })
+            })
+            .collect()
     }
 
     /// Predict the gradient-update time.
@@ -66,6 +69,103 @@ impl GradUpdateModel {
             self.multi.predict(&grad_features_multi(metrics, nodes))
         }
     }
+}
+
+/// Row sets kept back to back in one buffer, so a group of sets costs two
+/// allocations: set `s` is the rows up to `ends[s]`, after the previous
+/// set's.
+pub(crate) struct RowSets<'p> {
+    rows: Vec<&'p TrainingPoint>,
+    ends: Vec<usize>,
+}
+
+impl<'p> RowSets<'p> {
+    /// One set: every point.
+    fn all(points: &'p [TrainingPoint]) -> Self {
+        Self {
+            rows: points.iter().collect(),
+            ends: vec![points.len()],
+        }
+    }
+
+    /// One set per index list, of the points at those indices.
+    pub(crate) fn gather(points: &'p [TrainingPoint], sets: &[&[usize]]) -> Self {
+        let mut rows = Vec::with_capacity(sets.iter().map(|set| set.len()).sum());
+        let mut ends = Vec::with_capacity(sets.len());
+        for set in sets {
+            rows.extend(set.iter().map(|&i| &points[i]));
+            ends.push(rows.len());
+        }
+        Self { rows, ends }
+    }
+
+    /// Each set's points whose node count passes `keep`, in order.
+    fn filtered(&self, keep: impl Fn(usize) -> bool) -> Self {
+        let mut rows = Vec::with_capacity(self.rows.len());
+        let mut ends = Vec::with_capacity(self.ends.len());
+        for set in self.sets() {
+            rows.extend(set.iter().copied().filter(|p| keep(p.nodes)));
+            ends.push(rows.len());
+        }
+        Self { rows, ends }
+    }
+
+    /// The sets, in order.
+    fn sets(&self) -> Vec<&[&'p TrainingPoint]> {
+        let mut start = 0;
+        self.ends
+            .iter()
+            .map(|&end| {
+                let set = &self.rows[start..end];
+                start = end;
+                set
+            })
+            .collect()
+    }
+
+    /// Each set that has at least `min` rows; the others are absent.
+    fn with_rows(&self, min: usize) -> Vec<Option<&[&'p TrainingPoint]>> {
+        let sets = self.sets().into_iter();
+        sets.map(|set| (set.len() >= min).then_some(set)).collect()
+    }
+}
+
+/// Fit `builder` on every row set, with design row `features(p)` and one
+/// target per function in `targets`. The sets' designs are factored
+/// [`LANES`](convmeter_linalg::qr::LANES) at a time in lockstep.
+fn fit_sets<const C: usize, const N: usize>(
+    builder: &LinearRegression,
+    sets: &[&[&TrainingPoint]],
+    features: impl Fn(&TrainingPoint) -> [f64; C],
+    targets: [fn(&TrainingPoint) -> f64; N],
+) -> Vec<Result<[LinearRegression; N], FitError>> {
+    // Each target of every set, back to back.
+    let ys: [Vec<f64>; N] = std::array::from_fn(|t| {
+        let rows = sets.iter().flat_map(|pts| pts.iter());
+        rows.map(|p| targets[t](p)).collect()
+    });
+    let features = &features;
+    let mut start = 0;
+    let problems = sets.iter().map(|pts| {
+        let (from, to) = (start, start + pts.len());
+        start = to;
+        let row = move |i: usize| features(pts[i]);
+        (pts.len(), row, ys.each_ref().map(|ys| &ys[from..to]))
+    });
+    builder.clone().fit_batch(problems)
+}
+
+/// `fit` applied to the present sets only, each result put back in its
+/// set's place; absent sets stay absent.
+fn where_present<S: Copy, T>(
+    sets: &[Option<S>],
+    fit: impl FnOnce(&[S]) -> Vec<T>,
+) -> Vec<Option<T>> {
+    let present: Vec<S> = sets.iter().flatten().copied().collect();
+    let mut fits = fit(&present).into_iter();
+    sets.iter()
+        .map(|set| set.and_then(|_| fits.next()))
+        .collect()
 }
 
 /// The complete training model: per-phase predictors plus the fused
@@ -85,6 +185,10 @@ pub struct TrainingModel {
     fused_multi: LinearRegression,
 }
 
+/// The fewest rows a fused regime is fitted on alone (7 unknowns);
+/// otherwise it falls back to the all-data fit.
+const MIN_REGIME_ROWS: usize = 8;
+
 impl TrainingModel {
     /// Fit every component from a training dataset (single- and/or
     /// multi-node points).
@@ -94,136 +198,97 @@ impl TrainingModel {
     /// regime has too few rows and falls back to it; a regime that holds
     /// every point already is that fit.
     pub fn fit(points: &[TrainingPoint]) -> Result<Self, FitError> {
-        Self::fit_rows(&points.iter().collect::<Vec<_>>())
+        only(Self::fit_batch(&RowSets::all(points)))
     }
 
-    /// [`TrainingModel::fit`] on borrowed rows, e.g. one leave-one-model-out
-    /// fold's training rows read by index from the shared dataset, so no
-    /// fold copies its points.
-    pub(crate) fn fit_rows(points: &[&TrainingPoint]) -> Result<Self, FitError> {
+    /// [`TrainingModel::fit`] on each row set, e.g. a group of
+    /// leave-one-model-out folds' training rows read by index from the
+    /// shared dataset, so no fold copies its points. Component by component
+    /// — forward and backward, the gradient update, the fused regimes, the
+    /// all-data fallback — the sets' designs are factored together, so at
+    /// most [`LANES`](convmeter_linalg::qr::LANES) designs are live at
+    /// once. Each set's model, or its first error in that order, is
+    /// bit-identical to a one-set fit.
+    pub(crate) fn fit_batch(rows: &RowSets) -> Vec<Result<Self, FitError>> {
         let _span = obs::span!("convmeter.fit.training");
-        let fwd_xs: Vec<[f64; 3]> = points
-            .iter()
-            .map(|p| forward_features(&p.metrics))
-            .collect();
-        let fwd_ys: Vec<f64> = points.iter().map(|p| p.fwd).collect();
-        let bwd_ys: Vec<f64> = points.iter().map(|p| p.bwd).collect();
-        let [forward, backward] = LinearRegression::new()
-            .with_ridge(DEFAULT_RIDGE)
-            .fit_targets(&fwd_xs, [&fwd_ys, &bwd_ys])?;
-        let grad = GradUpdateModel::fit_rows(points)?;
+        let sets = rows.sets();
+        let ridge = LinearRegression::new().with_ridge(DEFAULT_RIDGE);
+        let forward = fit_sets(
+            &ridge,
+            &sets,
+            |p| forward_features(&p.metrics),
+            [|p| p.fwd, |p| p.bwd],
+        );
+        let grad = GradUpdateModel::fit_batch(rows);
 
         // The fused model is fitted on the *sum* of the measured backward
         // and gradient-update phases (Section 3.3: "we apply linear
         // regression to our backward pass and gradient update equation
         // combined using the sum of the ... measurements").
-        let fit_fused = |pts: &[&TrainingPoint]| -> Result<LinearRegression, FitError> {
-            let xs: Vec<[f64; 6]> = pts
-                .iter()
-                .map(|p| bwd_grad_features(&p.metrics, p.nodes))
-                .collect();
-            let ys: Vec<f64> = pts.iter().map(|p| p.bwd + p.grad).collect();
-            LinearRegression::new()
-                .with_ridge(DEFAULT_RIDGE)
-                .fit(&xs, &ys)
-        };
-        let single_pts: Vec<&TrainingPoint> =
-            points.iter().copied().filter(|p| p.nodes == 1).collect();
-        let multi_pts: Vec<&TrainingPoint> =
-            points.iter().copied().filter(|p| p.nodes > 1).collect();
-        // Each regime needs enough rows for the 7 unknowns; otherwise fall
-        // back to the all-data fit.
-        let min_rows = 8;
-        let fit_regime =
-            |pts: &[&TrainingPoint]| (pts.len() >= min_rows).then(|| fit_fused(pts)).transpose();
-        let single = fit_regime(&single_pts)?;
-        let multi = fit_regime(&multi_pts)?;
-        let (fused_single, fused_multi) = match (single, multi) {
-            (Some(single), Some(multi)) => (single, multi),
-            // A regime that holds every point already is the all-data fit.
-            (Some(single), None) if single_pts.len() == points.len() => (single.clone(), single),
-            (None, Some(multi)) if multi_pts.len() == points.len() => (multi.clone(), multi),
-            (single, multi) => {
-                let fused_all = fit_fused(points)?;
-                (
-                    single.unwrap_or_else(|| fused_all.clone()),
-                    multi.unwrap_or(fused_all),
+        let fit_fused = |sets: &[Option<&[&TrainingPoint]>]| {
+            where_present(sets, |sets| {
+                fit_sets(
+                    &ridge,
+                    sets,
+                    |p| bwd_grad_features(&p.metrics, p.nodes),
+                    [|p| p.bwd + p.grad],
                 )
-            }
-        };
-
-        Ok(Self {
-            forward,
-            backward,
-            grad,
-            fused_single,
-            fused_multi,
-        })
-    }
-
-    /// Outlier-robust fit: per-phase Huber IRLS + trimmed refits replace
-    /// the OLS solves for the forward, backward, and fused phases (the
-    /// phases fault injection contaminates). Returns the worst per-phase
-    /// contamination report. On exactly-linear (residual-free) data every
-    /// component is bit-identical to [`TrainingModel::fit`].
-    pub fn fit_robust(points: &[TrainingPoint]) -> Result<(Self, RobustReport), FitError> {
-        let _span = obs::span!("convmeter.fit.training");
-        let huber = || HuberRegression::new().with_ridge(DEFAULT_RIDGE);
-        let fwd_xs: Vec<[f64; 3]> = points
-            .iter()
-            .map(|p| forward_features(&p.metrics))
-            .collect();
-        let (forward, fwd_report) =
-            huber().fit(&fwd_xs, &points.iter().map(|p| p.fwd).collect::<Vec<_>>())?;
-        let (backward, bwd_report) =
-            huber().fit(&fwd_xs, &points.iter().map(|p| p.bwd).collect::<Vec<_>>())?;
-        let grad = GradUpdateModel::fit(points)?;
-
-        let fit_fused =
-            |pts: &[&TrainingPoint]| -> Result<(LinearRegression, RobustReport), FitError> {
-                let xs: Vec<[f64; 6]> = pts
-                    .iter()
-                    .map(|p| bwd_grad_features(&p.metrics, p.nodes))
-                    .collect();
-                let ys: Vec<f64> = pts.iter().map(|p| p.bwd + p.grad).collect();
-                huber().fit(&xs, &ys)
-            };
-        let all: Vec<&TrainingPoint> = points.iter().collect();
-        let (fused_all, fused_report) = fit_fused(&all)?;
-        let single_pts: Vec<&TrainingPoint> = points.iter().filter(|p| p.nodes == 1).collect();
-        let multi_pts: Vec<&TrainingPoint> = points.iter().filter(|p| p.nodes > 1).collect();
-        let min_rows = 8;
-        let fused_single = if single_pts.len() >= min_rows {
-            fit_fused(&single_pts)?.0
-        } else {
-            fused_all.clone()
-        };
-        let fused_multi = if multi_pts.len() >= min_rows {
-            fit_fused(&multi_pts)?.0
-        } else {
-            fused_all
-        };
-
-        let worst = [fwd_report, bwd_report, fused_report]
-            .into_iter()
-            .max_by(|a, b| {
-                a.contamination
-                    .partial_cmp(&b.contamination)
-                    // analyzer:allow(CA0004, reason = "contamination rates are finite fractions in [0, 1]")
-                    .expect("contamination rates are finite")
             })
-            // analyzer:allow(CA0004, reason = "the array literal above holds exactly three reports")
-            .expect("three reports");
-        Ok((
-            Self {
-                forward,
-                backward,
-                grad,
-                fused_single,
-                fused_multi,
-            },
-            worst,
-        ))
+        };
+        // Each regime needs enough rows for the 7 unknowns; otherwise it
+        // falls back to the all-data fit.
+        let single_pts = rows.filtered(|nodes| nodes == 1);
+        let multi_pts = rows.filtered(|nodes| nodes > 1);
+        let single_sets = single_pts.with_rows(MIN_REGIME_ROWS);
+        let multi_sets = multi_pts.with_rows(MIN_REGIME_ROWS);
+        // A regime that holds every point already is the all-data fit.
+        let fallback: Vec<_> = sets
+            .iter()
+            .zip(single_sets.iter().zip(&multi_sets))
+            .map(|(&pts, regimes)| {
+                let whole = |regime: &Option<&[&TrainingPoint]>| {
+                    regime.is_some_and(|rows| rows.len() == pts.len())
+                };
+                let needed = match regimes {
+                    (Some(_), Some(_)) => false,
+                    (single, multi) => !whole(single) && !whole(multi),
+                };
+                needed.then_some(pts)
+            })
+            .collect();
+        let single = fit_fused(&single_sets);
+        let multi = fit_fused(&multi_sets);
+        let fallback = fit_fused(&fallback);
+
+        let components = forward.into_iter().zip(grad).zip(single).zip(multi);
+        components
+            .zip(fallback)
+            .map(|((((forward, grad), single), multi), fallback)| {
+                let [forward, backward] = forward?;
+                let grad = grad?;
+                let single = single.transpose()?.map(|[fit]| fit);
+                let multi = multi.transpose()?.map(|[fit]| fit);
+                let fallback = fallback.transpose()?.map(|[fit]| fit);
+                let (fused_single, fused_multi) = match (single, multi) {
+                    (Some(single), Some(multi)) => (single, multi),
+                    (single, multi) => {
+                        let all = fallback
+                            .or_else(|| single.clone())
+                            .or_else(|| multi.clone())
+                            // analyzer:allow(CA0004, reason = "a set without both regimes has an all-data fit: its fallback, or the regime that holds every point")
+                            .expect("an all-data fused fit");
+                        (single.unwrap_or_else(|| all.clone()), multi.unwrap_or(all))
+                    }
+                };
+                Ok(Self {
+                    forward,
+                    backward,
+                    grad,
+                    fused_single,
+                    fused_multi,
+                })
+            })
+            .collect()
     }
 
     /// Predicted forward-pass time.

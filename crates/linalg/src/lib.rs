@@ -36,5 +36,5 @@ pub use diagnostics::ResidualProfile;
 pub use matrix::Matrix;
 pub use qr::condition_estimate;
 pub use regression::{FitError, FitSummary, LinearRegression};
-pub use robust::{HuberRegression, RobustReport, HUBER_K};
+pub use robust::{HuberRegression, RobustFit, RobustReport, HUBER_K};
 pub use stats::{mae, mape, mean, nrmse, r_squared, rmse, std_dev};

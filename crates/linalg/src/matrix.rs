@@ -72,15 +72,6 @@ impl Matrix {
         }
     }
 
-    /// Create a single-column matrix from a slice.
-    pub fn column_vector(values: &[f64]) -> Self {
-        Self {
-            rows: values.len(),
-            cols: 1,
-            data: values.to_vec(),
-        }
-    }
-
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -174,21 +165,6 @@ impl Matrix {
     pub fn max_abs(&self) -> f64 {
         self.data.iter().fold(0.0f64, |m, &x| m.max(x.abs()))
     }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
-
-    /// Select a subset of rows (by index, in order) into a new matrix.
-    pub fn select_rows(&self, indices: &[usize]) -> Matrix {
-        let mut out = Matrix::zeros(indices.len(), self.cols);
-        for (i, &r) in indices.iter().enumerate() {
-            assert!(r < self.rows, "row index {r} out of bounds ({})", self.rows);
-            out.row_mut(i).copy_from_slice(self.row(r));
-        }
-        out
-    }
 }
 
 impl Index<(usize, usize)> for Matrix {
@@ -277,22 +253,14 @@ mod tests {
         let a = Matrix::from_rows(&[vec![1.0, -1.0], vec![2.0, 0.5]]);
         let v = [3.0, 4.0];
         let mv = a.matvec(&v);
-        let col = a.matmul(&Matrix::column_vector(&v));
+        let col = a.matmul(&Matrix::from_vec(v.len(), 1, v.to_vec()));
         assert_eq!(mv, col.col(0));
-    }
-
-    #[test]
-    fn select_rows_picks_in_order() {
-        let a = Matrix::from_rows(&[vec![0.0], vec![1.0], vec![2.0], vec![3.0]]);
-        let s = a.select_rows(&[3, 1]);
-        assert_eq!(s.col(0), vec![3.0, 1.0]);
     }
 
     #[test]
     fn norms_are_consistent() {
         let a = Matrix::from_rows(&[vec![3.0, -4.0]]);
         assert_eq!(a.max_abs(), 4.0);
-        assert!((a.frobenius_norm() - 5.0).abs() < 1e-12);
     }
 
     #[test]

@@ -7,8 +7,19 @@
 //! number is the square of `A`'s — a real concern for ConvMeter's design
 //! matrices, where FLOPs, Inputs, and Outputs are strongly correlated across
 //! ConvNets.
+//!
+//! Independent designs are factored [`LANES`] at a time in lockstep. Most
+//! of a factorisation's time is the column norm, a serial chain of `hypot`
+//! calls whose order is part of every pinned result; the chains of
+//! different designs do not depend on each other, so running them
+//! interleaved overlaps their latencies without moving a bit.
 
 use crate::matrix::Matrix;
+
+/// How many independent designs are factored together in lockstep: for
+/// each column, the group's norm chains run interleaved, then each design
+/// applies its own reflector.
+pub const LANES: usize = 4;
 
 /// Error returned when a least-squares system cannot be solved.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -64,70 +75,99 @@ pub struct HouseholderQr {
 impl HouseholderQr {
     /// Factor `a` (which must have `rows >= cols`).
     pub fn new(a: &Matrix) -> Result<Self, QrError> {
-        let (m, n) = (a.rows(), a.cols());
-        let columns = (0..n)
-            .flat_map(|c| (0..m).map(move |r| a[(r, c)]))
-            .collect();
-        Self::factor(columns, m, n)
+        let mut design = RidgeDesign::new(a.rows(), a.cols(), 0.0);
+        for (c, column) in design.columns_mut().enumerate() {
+            for (r, v) in column.iter_mut().enumerate() {
+                *v = a[(r, c)];
+            }
+        }
+        only(Self::factor_batch([Ok::<_, QrError>(design)]))
     }
 
-    /// Factor the `rows x cols` matrix stored column-major in `qr`, in
-    /// place: the buffer becomes the factorisation.
-    fn factor(mut qr: Vec<f64>, m: usize, n: usize) -> Result<Self, QrError> {
-        debug_assert_eq!(qr.len(), m * n);
+    /// Factor each design in place, in order: each buffer becomes its
+    /// factorisation. The designs are taken [`LANES`] at a time and each
+    /// group is factored in lockstep ([`HouseholderQr::factor_group`]); an
+    /// `Err` item passes through in its place. Every factorisation is
+    /// bit-identical to factoring its design alone.
+    fn factor_batch<E: From<QrError>>(
+        designs: impl IntoIterator<Item = Result<RidgeDesign, E>>,
+    ) -> Vec<Result<Self, E>> {
+        let mut designs = designs.into_iter().peekable();
+        let mut out = Vec::with_capacity(designs.size_hint().0);
+        while designs.peek().is_some() {
+            let mut errors: [Option<E>; LANES] = Default::default();
+            let mut taken = 0;
+            let group = std::array::from_fn(|lane| {
+                let design = designs.next()?;
+                taken += 1;
+                design.map_err(|e| errors[lane] = Some(e)).ok()
+            });
+            let factors = Self::factor_group(group);
+            let lanes = errors.into_iter().zip(factors).take(taken);
+            out.extend(lanes.filter_map(|lane| match lane {
+                (Some(e), _) => Some(Err(e)),
+                (None, factor) => factor.map(|f| f.map_err(E::from)),
+            }));
+        }
+        out
+    }
+
+    /// Factor up to [`LANES`] designs together, each result in its
+    /// design's lane. Designs of different shapes share the group: a
+    /// design leaves it once its columns are done. Column `k` of every
+    /// design still in the group is normed by [`column_norms`], which runs
+    /// the serial `hypot` chains interleaved; then each design reflects its
+    /// own trailing columns exactly as a one-design loop would.
+    fn factor_group(group: [Option<RidgeDesign>; LANES]) -> [Option<Result<Self, QrError>>; LANES] {
         let _span = convmeter_obs::span!("linalg.qr.factor");
-        if m < n {
-            return Err(QrError::Underdetermined { rows: m, cols: n });
-        }
-        convmeter_obs::histogram!("linalg.qr.rows").record(m as u64);
-        let mut beta = vec![0.0; n];
-        for k in 0..n {
-            let (done, trailing) = qr.split_at_mut((k + 1) * m);
-            let col = &mut done[k * m..];
-            // Compute the Householder vector for column k, rows k..m. The
-            // serial `hypot` chain is the bulk of the factorisation's cost;
-            // its order is part of every pinned result.
-            let mut norm = 0.0f64;
-            for &x in &col[k..] {
-                norm = norm.hypot(x);
-            }
-            if norm == 0.0 {
-                beta[k] = 0.0;
-                continue;
-            }
-            let (head, v) = col.split_at_mut(k + 1);
-            let alpha = if head[k] >= 0.0 { -norm } else { norm };
-            let v0 = head[k] - alpha;
-            // Normalise so v[k] = 1 implicitly; store v[k+1..] scaled by 1/v0.
-            for x in v.iter_mut() {
-                *x /= v0;
-            }
-            beta[k] = -v0 / alpha;
-            head[k] = alpha;
-            let v = &*v;
-            // Apply the reflector to the trailing columns.
-            for target in trailing.chunks_exact_mut(m) {
-                let (head, tail) = target.split_at_mut(k + 1);
-                let mut s = head[k];
-                for (&vi, &xi) in v.iter().zip(tail.iter()) {
-                    s += vi * xi;
+        // Each factorable design with its reflectors' scalar factors.
+        let mut group = group.map(|design| {
+            design.map(|d| {
+                if d.rows < d.cols {
+                    return Err(QrError::Underdetermined {
+                        rows: d.rows,
+                        cols: d.cols,
+                    });
                 }
-                s *= beta[k];
-                head[k] -= s;
-                for (xi, &vi) in tail.iter_mut().zip(v) {
-                    *xi -= s * vi;
+                convmeter_obs::histogram!("linalg.qr.rows").record(d.rows as u64);
+                let mut beta = Vec::new();
+                beta.resize(d.cols, 0.0);
+                Ok((d, beta))
+            })
+        });
+        let width = group.iter().flatten().flatten().count();
+        convmeter_obs::histogram!("linalg.qr.lanes").record(width as u64);
+        let max_cols = group.iter().flatten().flatten().map(|(d, _)| d.cols).max();
+        for k in 0..max_cols.unwrap_or(0) {
+            let mut columns: [&[f64]; LANES] = [&[]; LANES];
+            for (column, (d, _)) in columns.iter_mut().zip(group.iter().flatten().flatten()) {
+                if k < d.cols {
+                    *column = &d.data[k * d.rows..(k + 1) * d.rows][k..];
+                }
+            }
+            let norms = column_norms(&columns);
+            let lanes = group.iter_mut().flatten().flatten();
+            for ((d, beta), norm) in lanes.zip(norms) {
+                if k < d.cols {
+                    reflect(&mut d.data, d.rows, k, norm, beta);
                 }
             }
         }
-        // Scale-aware singularity test: a diagonal entry is "zero" when it
-        // is negligible relative to the matrix magnitude.
-        let max_abs = qr.iter().fold(0.0f64, |acc, &x| acc.max(x.abs()));
-        let tol = f64::EPSILON * (m as f64) * max_abs.max(1e-300);
-        Ok(Self {
-            qr,
-            rows: m,
-            beta,
-            tol,
+        group.map(|lane| {
+            lane.map(|lane| {
+                lane.map(|(d, beta)| {
+                    // Scale-aware singularity test: a diagonal entry is
+                    // "zero" when it is negligible relative to the matrix
+                    // magnitude.
+                    let max_abs = d.data.iter().fold(0.0f64, |acc, &x| acc.max(x.abs()));
+                    Self {
+                        tol: f64::EPSILON * (d.rows as f64) * max_abs.max(1e-300),
+                        qr: d.data,
+                        rows: d.rows,
+                        beta,
+                    }
+                })
+            })
         })
     }
 
@@ -146,6 +186,28 @@ impl HouseholderQr {
     /// spread of these magnitudes is a cheap conditioning probe.
     pub fn r_diagonal(&self) -> Vec<f64> {
         (0..self.cols()).map(|k| self.col(k)[k]).collect()
+    }
+
+    /// Solve for each `obs`-long right-hand side, zero-padded to the
+    /// factored row count (the ridge rows' targets) in `rhs`.
+    ///
+    /// # Panics
+    /// Panics if a right-hand side's length differs from `obs`.
+    fn solve_padded<const N: usize>(
+        &self,
+        obs: usize,
+        bs: [&[f64]; N],
+        rhs: &mut Vec<f64>,
+    ) -> Result<[Vec<f64>; N], QrError> {
+        let mut solutions = [(); N].map(|()| Vec::new());
+        for (x, b) in solutions.iter_mut().zip(bs) {
+            assert_eq!(b.len(), obs, "rhs length mismatch");
+            rhs.clear();
+            rhs.extend_from_slice(b);
+            rhs.resize(self.rows, 0.0);
+            *x = self.solve(rhs)?;
+        }
+        Ok(solutions)
     }
 
     /// Solve `min ||A x - b||` for `x` given the factorisation of `A`.
@@ -191,6 +253,102 @@ impl HouseholderQr {
             x[k] = s / rkk;
         }
         Ok(x)
+    }
+}
+
+/// The result of a batch of one: every batch function in this crate
+/// returns one result per problem, in order.
+pub fn only<T>(batch: Vec<T>) -> T {
+    let mut results = batch.into_iter();
+    // analyzer:allow(CA0004, reason = "a batch function returns one result per problem, and this batch holds one")
+    results.next().expect("a batch of one has one result")
+}
+
+/// The Euclidean norm of each column, as the serial chain
+/// `norm = norm.hypot(x)` over the column in order. The chains of
+/// different columns are independent, so they run interleaved — one
+/// `hypot` per live chain per row — and their latencies overlap. A chain
+/// leaves when its column ends. Each chain still sees exactly its own
+/// values in its own order, so every norm is bit-identical to a
+/// one-column loop.
+fn column_norms(columns: &[&[f64]; LANES]) -> [f64; LANES] {
+    // Lanes by column length: the chains still running at any row are a
+    // suffix of this order.
+    let mut order: [usize; LANES] = std::array::from_fn(|l| l);
+    order.sort_by_key(|&l| columns[l].len());
+    let mut norms = [0.0f64; LANES];
+    let mut from = 0;
+    for (first, &l) in order.iter().enumerate() {
+        let to = columns[l].len();
+        if to == from {
+            continue;
+        }
+        let live = &order[first..];
+        let rows = from..to;
+        match live.len() {
+            1 => hypot_chains::<1>(columns, live, rows, &mut norms),
+            2 => hypot_chains::<2>(columns, live, rows, &mut norms),
+            3 => hypot_chains::<3>(columns, live, rows, &mut norms),
+            _ => hypot_chains::<LANES>(columns, live, rows, &mut norms),
+        }
+        from = to;
+    }
+    norms
+}
+
+/// Continue the `W` chains of the lanes in `live` over `rows`, one row of
+/// every chain per step.
+fn hypot_chains<const W: usize>(
+    columns: &[&[f64]; LANES],
+    live: &[usize],
+    rows: std::ops::Range<usize>,
+    norms: &mut [f64; LANES],
+) {
+    let lanes: [usize; W] = std::array::from_fn(|j| live[j]);
+    let segments = lanes.map(|l| &columns[l][rows.clone()]);
+    let mut acc = lanes.map(|l| norms[l]);
+    for i in 0..rows.len() {
+        for (norm, segment) in acc.iter_mut().zip(&segments) {
+            *norm = norm.hypot(segment[i]);
+        }
+    }
+    for (l, norm) in lanes.into_iter().zip(acc) {
+        norms[l] = norm;
+    }
+}
+
+/// Turn column `k` of the column-major `m`-row buffer `qr` into its
+/// Householder reflector, given the column's norm below the diagonal, and
+/// apply it to the trailing columns. `beta[k]` receives the reflector's
+/// scalar factor; a zero norm leaves the column as it is, with `beta[k]`
+/// zero.
+fn reflect(qr: &mut [f64], m: usize, k: usize, norm: f64, beta: &mut [f64]) {
+    if norm == 0.0 {
+        return;
+    }
+    let (done, trailing) = qr.split_at_mut((k + 1) * m);
+    let col = &mut done[k * m..];
+    let (head, v) = col.split_at_mut(k + 1);
+    let alpha = if head[k] >= 0.0 { -norm } else { norm };
+    let v0 = head[k] - alpha;
+    // Normalise so v[k] = 1 implicitly; store v[k+1..] scaled by 1/v0.
+    for x in v.iter_mut() {
+        *x /= v0;
+    }
+    beta[k] = -v0 / alpha;
+    head[k] = alpha;
+    let v = &*v;
+    for target in trailing.chunks_exact_mut(m) {
+        let (head, tail) = target.split_at_mut(k + 1);
+        let mut s = head[k];
+        for (&vi, &xi) in v.iter().zip(tail.iter()) {
+            s += vi * xi;
+        }
+        s *= beta[k];
+        head[k] -= s;
+        for (xi, &vi) in tail.iter_mut().zip(v) {
+            *xi -= s * vi;
+        }
     }
 }
 
@@ -262,21 +420,45 @@ impl RidgeDesign {
     }
 
     /// Factor the design in place and solve it for every right-hand side
-    /// (one `obs`-long target each). Each solution is bit-identical to a
-    /// one-target solve: the factorisation does not depend on `b`.
+    /// (one `obs`-long target each): the batch of one of
+    /// [`RidgeDesign::solve_batch`].
     pub fn solve<const N: usize>(self, bs: [&[f64]; N]) -> Result<[Vec<f64>; N], QrError> {
-        let obs = self.obs;
-        let qr = HouseholderQr::factor(self.data, self.rows, self.cols)?;
-        let mut solutions = [(); N].map(|()| Vec::new());
-        let mut rhs = Vec::with_capacity(qr.rows);
-        for (x, b) in solutions.iter_mut().zip(bs) {
-            assert_eq!(b.len(), obs, "rhs length mismatch");
-            rhs.clear();
-            rhs.extend_from_slice(b);
-            rhs.resize(qr.rows, 0.0);
-            *x = qr.solve(&rhs)?;
-        }
-        Ok(solutions)
+        only(Self::solve_batch([Ok::<_, QrError>((self, bs))]))
+    }
+
+    /// Factor each design in place and solve it for each of its right-hand
+    /// sides, in order; an `Err` item passes through in its place. The
+    /// designs are factored [`LANES`] at a time in lockstep, and each
+    /// solution is bit-identical to a one-target solve of its design alone:
+    /// neither the group nor `b` changes a factorisation.
+    ///
+    /// # Panics
+    /// Panics if a right-hand side's length differs from its design's
+    /// observation count.
+    pub(crate) fn solve_batch<'b, E: From<QrError>, const N: usize>(
+        batch: impl IntoIterator<Item = Result<(Self, [&'b [f64]; N]), E>>,
+    ) -> Vec<Result<[Vec<f64>; N], E>> {
+        let batch = batch.into_iter();
+        // One entry per item, so the factors line up with them; an `Err`
+        // item's entry is never read.
+        let mut rhs_sets = Vec::with_capacity(batch.size_hint().0);
+        let designs = batch.map(|item| match item {
+            Ok((design, bs)) => {
+                rhs_sets.push((design.obs, bs));
+                Ok(design)
+            }
+            Err(e) => {
+                rhs_sets.push((0, [&[][..]; N]));
+                Err(e)
+            }
+        });
+        let factors = HouseholderQr::factor_batch(designs);
+        let mut rhs = Vec::new();
+        factors
+            .into_iter()
+            .zip(rhs_sets)
+            .map(|(qr, (obs, bs))| Ok(qr?.solve_padded(obs, bs, &mut rhs)?))
+            .collect()
     }
 }
 
@@ -635,5 +817,155 @@ mod tests {
         for (got, want) in x.iter().zip(&truth) {
             assert!((got - want).abs() / want.abs() < 1e-6, "{x:?}");
         }
+    }
+
+    /// `a` as the system the reference factors: stacked on its ridge rows
+    /// when `lambda > 0`, with `b` zero-padded to match.
+    fn reference_system(a: &Matrix, b: &[f64], lambda: f64) -> (Matrix, Vec<f64>) {
+        if lambda == 0.0 {
+            return (a.clone(), b.to_vec());
+        }
+        let n = a.cols();
+        let mut reg = Matrix::zeros(n, n);
+        for i in 0..n {
+            reg[(i, i)] = lambda.sqrt();
+        }
+        let mut rhs = b.to_vec();
+        rhs.resize(a.rows() + n, 0.0);
+        (reference::vstack(a, &reg), rhs)
+    }
+
+    /// Factor and solve `systems` as one batch, and check every member —
+    /// its diagonal of `R`, its solution or its error — bit for bit
+    /// against the serial reference of that system alone.
+    fn assert_batch_matches_reference(systems: &[(Matrix, Vec<f64>, f64)]) {
+        let designs = systems
+            .iter()
+            .map(|(a, _, lambda)| Ok::<_, QrError>(ridge_design(a, *lambda)));
+        let factors = HouseholderQr::factor_batch(designs);
+        let solved = RidgeDesign::solve_batch(
+            systems
+                .iter()
+                .map(|(a, b, lambda)| Ok::<_, QrError>((ridge_design(a, *lambda), [&b[..]]))),
+        );
+        assert_eq!(factors.len(), systems.len());
+        assert_eq!(solved.len(), systems.len());
+        for (i, ((a, b, lambda), (factor, solution))) in
+            systems.iter().zip(factors.iter().zip(solved)).enumerate()
+        {
+            let case = format!(
+                "member {i} of {}: {}x{}, lambda {lambda}",
+                systems.len(),
+                a.rows(),
+                a.cols()
+            );
+            let (system, rhs) = reference_system(a, b, *lambda);
+            let (qr, beta) = reference::factor(&system);
+            let want = reference::solve(&qr, &beta, &rhs);
+            let factor = factor.as_ref().unwrap_or_else(|e| panic!("{case}: {e}"));
+            let diagonal: Vec<f64> = (0..a.cols()).map(|k| qr[(k, k)]).collect();
+            assert_eq!(bits(&factor.r_diagonal()), bits(&diagonal), "{case}");
+            assert_eq!(bits(&factor.beta), bits(&beta), "{case}");
+            match (solution, want) {
+                (Ok([got]), Ok(want)) => assert_eq!(bits(&got), bits(&want), "{case}"),
+                (got, want) => assert_eq!(got.map(|[x]| x), want, "{case}"),
+            }
+        }
+    }
+
+    #[test]
+    fn lockstep_batches_of_1_to_9_match_reference_bitwise() {
+        for size in 1..=9 {
+            let systems: Vec<_> = (0..size)
+                .map(|i| {
+                    // Similar shapes, like leave-one-model-out folds, with
+                    // ridge and plain designs mixed in one group.
+                    let (a, b) = scaled_system(90 + 7 * i, 2 + i % 5);
+                    let lambda = [0.0, 1e-6, 0.0, 0.5][i % 4];
+                    (a, b, lambda)
+                })
+                .collect();
+            assert_batch_matches_reference(&systems);
+        }
+    }
+
+    #[test]
+    fn mixed_shapes_share_a_group_bitwise() {
+        let mut systems: Vec<_> = [(1179, 4, 0.0), (236, 1, 1e-6), (947, 7, 0.0), (40, 3, 1.0)]
+            .into_iter()
+            .map(|(rows, cols, lambda)| {
+                let (a, b) = scaled_system(rows, cols);
+                (a, b, lambda)
+            })
+            .collect();
+        assert_batch_matches_reference(&systems);
+        // The same designs in another order, so each sits in another lane.
+        systems.reverse();
+        assert_batch_matches_reference(&systems);
+    }
+
+    #[test]
+    fn zero_column_takes_the_beta_zero_path_beside_its_neighbours() {
+        let (mut a, b) = scaled_system(60, 4);
+        for r in 0..a.rows() {
+            a[(r, 2)] = 0.0;
+        }
+        let (n1, c1) = scaled_system(75, 4);
+        let (n2, c2) = scaled_system(50, 3);
+        let zero = HouseholderQr::new(&a).unwrap();
+        assert_eq!(zero.beta[2], 0.0);
+        assert_eq!(zero.r_diagonal()[2], 0.0);
+        assert_batch_matches_reference(&[(n1, c1, 0.0), (a, b, 0.0), (n2, c2, 1e-6)]);
+    }
+
+    #[test]
+    fn a_rank_deficient_member_keeps_its_own_error() {
+        // Column 2 is exactly column 0 plus column 1.
+        let rows: Vec<Vec<f64>> = (1..30)
+            .map(|i| {
+                let t = i as f64;
+                vec![t, (t * 0.7).sin(), t + (t * 0.7).sin(), t * t]
+            })
+            .collect();
+        let deficient = Matrix::from_rows(&rows);
+        let b: Vec<f64> = (1..30).map(|i| i as f64).collect();
+        let (n1, c1) = scaled_system(31, 4);
+        let (n2, c2) = scaled_system(29, 4);
+        let (n3, c3) = scaled_system(44, 2);
+        let systems = [
+            (n1, c1, 0.0),
+            (deficient, b, 0.0),
+            (n2, c2, 0.0),
+            (n3, c3, 1e-9),
+        ];
+        assert_batch_matches_reference(&systems);
+        let solved = RidgeDesign::solve_batch(
+            systems
+                .iter()
+                .map(|(a, b, lambda)| Ok::<_, QrError>((ridge_design(a, *lambda), [&b[..]]))),
+        );
+        let errors: Vec<bool> = solved.iter().map(Result::is_err).collect();
+        assert_eq!(errors, [false, true, false, false]);
+    }
+
+    #[test]
+    fn batch_errors_pass_through_in_place() {
+        let (a, b) = scaled_system(20, 3);
+        let items = [
+            Ok((ridge_design(&a, 0.0), [&b[..]])),
+            Err(QrError::RankDeficient { column: 9 }),
+            // Underdetermined: 2 rows, 3 columns.
+            Ok((ridge_design(&Matrix::zeros(2, 3), 0.0), [&[0.0, 0.0][..]])),
+            Ok((ridge_design(&a, 0.0), [&b[..]])),
+        ];
+        let solved = RidgeDesign::solve_batch(items);
+        let want = ridge_lstsq(&a, &b, 0.0).unwrap();
+        assert_eq!(bits(&solved[0].clone().unwrap()[0]), bits(&want));
+        assert_eq!(solved[1], Err(QrError::RankDeficient { column: 9 }));
+        assert_eq!(
+            solved[2],
+            Err(QrError::Underdetermined { rows: 2, cols: 3 })
+        );
+        assert_eq!(bits(&solved[3].clone().unwrap()[0]), bits(&want));
     }
 }

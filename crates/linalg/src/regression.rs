@@ -7,7 +7,7 @@
 //! backward+gradient phase. [`LinearRegression`] is the single fitting
 //! routine behind all of those.
 
-use crate::qr::{QrError, RidgeDesign};
+use crate::qr::{only, QrError, RidgeDesign, LANES};
 use crate::stats::ErrorReport;
 use serde::{Deserialize, Serialize};
 
@@ -129,35 +129,80 @@ impl LinearRegression {
 
     /// Fit one model per target against the same feature rows `xs`,
     /// factoring the design once. Each model is bit-identical to a separate
-    /// [`LinearRegression::fit`] on its target.
+    /// [`LinearRegression::fit`] on its target. This is the batch of one of
+    /// [`LinearRegression::fit_batch`].
     pub fn fit_targets<const N: usize>(
         self,
         xs: &[impl AsRef<[f64]>],
         targets: [&[f64]; N],
     ) -> Result<[Self; N], FitError> {
-        self.fit_rows(xs.len(), |i| (xs[i].as_ref(), 1.0), targets)
+        only(self.fit_batch([(xs.len(), |i: usize| xs[i].as_ref(), targets)]))
     }
 
-    /// The fit behind every fit in this crate, over `obs` observations.
-    /// `row(i)` gives observation `i`'s features and its row weight `sw`:
-    /// design row `i` is the features followed by a 1 for the intercept
-    /// (when enabled), all multiplied by `sw` — weighted least squares by
-    /// √w row scaling, intercept column included. The caller scales the
-    /// targets to match. The design is written once, column-major, into
-    /// the buffer that is then scaled and factored in place.
-    pub(crate) fn fit_rows<'a, const N: usize>(
+    /// Fit one set of models per problem `(obs, row, targets)`: `obs`
+    /// observations whose features `row(i)` gives, and one `obs`-long
+    /// target per model. The problems' designs are factored [`LANES`] at a
+    /// time in lockstep, and each result is bit-identical to fitting its
+    /// problem alone.
+    pub fn fit_batch<'t, R: AsRef<[f64]>, const N: usize>(
         self,
-        obs: usize,
-        row: impl Fn(usize) -> (&'a [f64], f64),
-        targets: [&[f64]; N],
-    ) -> Result<[Self; N], FitError> {
-        let _span = convmeter_obs::span!("linalg.fit");
-        convmeter_obs::counter!("linalg.fits").add(N as u64);
-        for ys in targets {
-            assert_eq!(obs, ys.len(), "xs/ys length mismatch");
+        problems: impl IntoIterator<Item = (usize, impl Fn(usize) -> R, [&'t [f64]; N])>,
+    ) -> Vec<Result<[Self; N], FitError>> {
+        self.fit_rows(
+            problems
+                .into_iter()
+                .map(|(obs, row, targets)| (obs, move |i| (row(i), 1.0), targets)),
+        )
+    }
+
+    /// The fit behind every fit in this crate, over a batch of problems
+    /// `(obs, row, targets)`. `row(i)` gives observation `i`'s features
+    /// and its row weight `sw`: design row `i` is the features followed by
+    /// a 1 for the intercept (when enabled), all multiplied by `sw` —
+    /// weighted least squares by √w row scaling, intercept column included.
+    /// The caller scales the targets to match. At most [`LANES`] designs
+    /// are live at once: each group is written, factored in lockstep and
+    /// solved before the next group is written.
+    pub(crate) fn fit_rows<'t, R: AsRef<[f64]>, const N: usize>(
+        &self,
+        problems: impl IntoIterator<Item = (usize, impl Fn(usize) -> (R, f64), [&'t [f64]; N])>,
+    ) -> Vec<Result<[Self; N], FitError>> {
+        let mut problems = problems.into_iter().peekable();
+        if problems.peek().is_none() {
+            return Vec::new();
         }
-        let n_features = if obs == 0 { 0 } else { row(0).0.len() };
-        if (0..obs).any(|i| row(i).0.len() != n_features) {
+        let _span = convmeter_obs::span!("linalg.fit");
+        let mut fits = Vec::with_capacity(problems.size_hint().0);
+        while problems.peek().is_some() {
+            let mut scales: [Vec<f64>; LANES] = Default::default();
+            let designs = problems.by_ref().take(LANES).zip(&mut scales).map(
+                |((obs, row, targets), scales)| {
+                    convmeter_obs::counter!("linalg.fits").add(N as u64);
+                    for ys in targets {
+                        assert_eq!(obs, ys.len(), "xs/ys length mismatch");
+                    }
+                    Ok((self.design(obs, row, scales)?, targets))
+                },
+            );
+            let solved = RidgeDesign::solve_batch(designs);
+            fits.extend(solved.into_iter().zip(&scales).map(|(solution, scales)| {
+                solution.map(|coefs| coefs.map(|coefs| self.unscaled(coefs, scales)))
+            }));
+        }
+        fits
+    }
+
+    /// The column-major design of `obs` observations, written once from
+    /// `row` and column-scaled in place; `scales` receives each column's
+    /// scale.
+    fn design<R: AsRef<[f64]>>(
+        &self,
+        obs: usize,
+        row: impl Fn(usize) -> (R, f64),
+        scales: &mut Vec<f64>,
+    ) -> Result<RidgeDesign, FitError> {
+        let n_features = if obs == 0 { 0 } else { row(0).0.as_ref().len() };
+        if (0..obs).any(|i| row(i).0.as_ref().len() != n_features) {
             return Err(FitError::RaggedFeatures);
         }
         let unknowns = n_features + usize::from(self.with_intercept);
@@ -167,18 +212,22 @@ impl LinearRegression {
                 need: unknowns,
             });
         }
-
+        let mut design = RidgeDesign::new(obs, unknowns, self.ridge_lambda);
+        // Row by row, so each observation's features are produced once.
+        let mut columns: Vec<&mut [f64]> = design.columns_mut().collect();
+        for i in 0..obs {
+            let (x, sw) = row(i);
+            for (c, column) in columns.iter_mut().enumerate() {
+                column[i] = x.as_ref().get(c).map_or(sw, |x| x * sw);
+            }
+        }
         // Column scaling: the ConvMeter metrics span ~12 orders of magnitude
         // (FLOPs ~1e9 vs. intercept ~1). Normalising each column by its max
         // absolute value keeps QR honest; coefficients are unscaled after.
         // The ridge rows below the observations stay unscaled.
-        let mut design = RidgeDesign::new(obs, unknowns, self.ridge_lambda);
-        let mut scales = vec![1.0f64; unknowns];
-        for ((c, column), scale) in design.columns_mut().enumerate().zip(&mut scales) {
-            for (i, v) in column.iter_mut().enumerate() {
-                let (x, sw) = row(i);
-                *v = if c < n_features { x[c] * sw } else { sw };
-            }
+        scales.clear();
+        scales.resize(unknowns, 1.0);
+        for (column, scale) in columns.into_iter().zip(scales.iter_mut()) {
             let m = column.iter().fold(0.0f64, |acc, &x| acc.max(x.abs()));
             if m > 0.0 {
                 *scale = m;
@@ -187,20 +236,21 @@ impl LinearRegression {
                 *v /= *scale;
             }
         }
+        Ok(design)
+    }
 
-        let solutions = design.solve(targets)?;
-        Ok(solutions.map(|mut coefs| {
-            for (b, s) in coefs.iter_mut().zip(&scales) {
-                *b /= s;
-            }
-            let intercept = if self.with_intercept {
-                // analyzer:allow(CA0004, reason = "the design carries the intercept column, so the solution includes its coefficient")
-                coefs.pop().expect("intercept column present")
-            } else {
-                0.0
-            };
-            Self::from_parts(self.with_intercept, self.ridge_lambda, coefs, intercept)
-        }))
+    /// The fitted model of a solution of the scaled design.
+    fn unscaled(&self, mut coefs: Vec<f64>, scales: &[f64]) -> Self {
+        for (b, s) in coefs.iter_mut().zip(scales) {
+            *b /= s;
+        }
+        let intercept = if self.with_intercept {
+            // analyzer:allow(CA0004, reason = "the design carries the intercept column, so the solution includes its coefficient")
+            coefs.pop().expect("intercept column present")
+        } else {
+            0.0
+        };
+        Self::from_parts(self.with_intercept, self.ridge_lambda, coefs, intercept)
     }
 
     /// Fit and return both the fitted model and a [`FitSummary`] with

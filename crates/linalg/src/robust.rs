@@ -127,141 +127,283 @@ impl HuberRegression {
             .with_ridge(self.ridge_lambda)
     }
 
-    /// Solve a weighted least-squares problem by row-scaling with √w:
-    /// `wys` holds the √w-scaled targets, and the design's rows (intercept
-    /// column included) are scaled as they are written.
-    fn weighted_fit(
-        &self,
-        xs: &[impl AsRef<[f64]>],
-        wys: &[f64],
-        sqrt_weights: &[f64],
-    ) -> Result<LinearRegression, FitError> {
-        let [fitted] =
-            self.base()
-                .fit_rows(xs.len(), |i| (xs[i].as_ref(), sqrt_weights[i]), [wys])?;
-        Ok(fitted)
-    }
-
     /// Fit robustly. Returns the fitted model and the contamination report.
+    /// This is the one-target case of [`HuberRegression::fit_targets`].
     pub fn fit(
         &self,
         xs: &[impl AsRef<[f64]>],
         ys: &[f64],
     ) -> Result<(LinearRegression, RobustReport), FitError> {
+        let [fit] = self.fit_targets(xs, [ys])?;
+        Ok((fit.model, fit.report))
+    }
+
+    /// Fit each target robustly against the same feature rows `xs`. One
+    /// base factorisation serves every target's OLS fit. The IRLS steps
+    /// then run in lockstep over the targets still iterating — each with
+    /// its own iteration count, stop test and stop on a failed weighted
+    /// fit — so their weighted designs are factored together, and so are
+    /// the trimmed refits. Each target's result is bit-identical to a
+    /// one-target fit.
+    pub fn fit_targets<const N: usize>(
+        &self,
+        xs: &[impl AsRef<[f64]>],
+        targets: [&[f64]; N],
+    ) -> Result<[RobustFit; N], FitError> {
         let _span = convmeter_obs::span!("linalg.robust_fit");
-        let base = self.base().fit(xs, ys)?;
-        let n = ys.len();
-        let residuals = |m: &LinearRegression| -> Vec<f64> {
-            xs.iter()
-                .zip(ys)
-                .map(|(x, &y)| y - m.predict(x.as_ref()))
-                .collect()
-        };
+        let bases = self.base().fit_targets(xs, targets)?;
+        let n = xs.len();
+        // The one buffer every robust scale of this fit is taken in.
+        let mut scratch = Vec::with_capacity(n);
+        // `bases` holds one fit per target, in order.
+        let mut next_target = targets.into_iter();
+        let mut fits = bases.map(|ols| {
+            let ys = next_target.next().unwrap_or_default();
+            Irls::start(self, xs, ys, ols, &mut scratch)
+        });
 
-        let mut res = residuals(&base);
-        let mut scale = robust_scale(&res);
-        // Exact (or numerically exact) fit: nothing to reweight. The
-        // threshold is relative to the response magnitude so the guarantee
-        // holds at ConvMeter scales (seconds ~ 1e-4) as well as unit scales.
-        let y_mag = ys.iter().fold(0.0f64, |a, &y| a.max(y.abs())).max(1.0);
-        if scale <= 1e-12 * y_mag {
-            return Ok((base, RobustReport::clean(scale)));
-        }
-        // Clean data: every residual already inside the Huber band means
-        // every weight is 1 and IRLS would reproduce the base fit anyway —
-        // return it untouched to keep the bit-identity guarantee.
-        if res.iter().all(|r| r.abs() <= self.tuning * scale) {
-            return Ok((base, RobustReport::clean(scale)));
-        }
-
-        let mut model = base;
-        let mut iterations = 0;
-        let mut downweighted = 0;
-        // √w and √w-scaled target buffers, refilled per IRLS iteration.
-        let mut sqrt_weights = vec![1.0f64; n];
-        let mut wys = vec![0.0f64; n];
         for _ in 0..self.max_iter {
-            downweighted = 0;
-            for (((sw, wy), r), &y) in sqrt_weights.iter_mut().zip(&mut wys).zip(&res).zip(ys) {
-                let w = (self.tuning * scale / r.abs()).min(1.0);
-                downweighted += usize::from(w < 1.0);
-                *sw = w.sqrt();
-                *wy = y * *sw;
+            for fit in fits.iter_mut().filter(|f| f.iterating) {
+                fit.reweight(self.tuning);
             }
             // A degenerate weighting (e.g. almost all mass on a few rows)
-            // can make the weighted design deficient; keep the last good
-            // model rather than failing the whole fit.
-            let Ok(next) = self.weighted_fit(xs, &wys, &sqrt_weights) else {
+            // can make a weighted design deficient; that target keeps its
+            // last good model rather than failing the whole fit.
+            let weighted = self
+                .base()
+                .fit_rows(fits.iter().filter(|f| f.iterating).map(|f| {
+                    (
+                        n,
+                        move |i: usize| (xs[i].as_ref(), f.sqrt_weights[i]),
+                        [&f.wys[..]],
+                    )
+                }));
+            if weighted.is_empty() {
                 break;
-            };
-            iterations += 1;
-            let delta = coef_delta(&model, &next);
-            model = next;
-            res = residuals(&model);
-            let next_scale = robust_scale(&res);
-            if next_scale > 1e-12 * y_mag {
-                scale = next_scale;
             }
-            if delta < self.tol {
-                break;
+            let iterating = fits.iter_mut().filter(|f| f.iterating);
+            for (fit, next) in iterating.zip(weighted) {
+                match next {
+                    Ok([next]) => fit.step(self.tol, xs, next, &mut scratch),
+                    Err(_) => fit.iterating = false,
+                }
             }
         }
 
         // Trimmed refit: drop flagged outliers entirely and solve once more
         // on the clean core, if enough points survive.
-        let keep: Vec<usize> = res
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.abs() <= self.trim_z * scale)
-            .map(|(i, _)| i)
-            .collect();
         let unknowns =
             xs.first().map_or(0, |x| x.as_ref().len()) + usize::from(self.with_intercept);
-        if keep.len() < n && keep.len() > unknowns {
-            let tys: Vec<f64> = keep.iter().map(|&i| ys[i]).collect();
-            let trimmed = self
-                .base()
-                .fit_rows(keep.len(), |j| (xs[keep[j]].as_ref(), 1.0), [&tys]);
+        for fit in fits.iter_mut().filter(|f| !f.clean) {
+            fit.select_core(self.trim_z, unknowns);
+        }
+        let trimmed = self
+            .base()
+            .fit_rows(fits.iter().filter(|f| f.trimming).map(|f| {
+                (
+                    f.keep.len(),
+                    move |j: usize| (xs[f.keep[j]].as_ref(), 1.0),
+                    [&f.tys[..]],
+                )
+            }));
+        let trimming = fits.iter_mut().filter(|f| f.trimming);
+        for (fit, trimmed) in trimming.zip(trimmed) {
             if let Ok([trimmed]) = trimmed {
-                model = trimmed;
-                res = residuals(&model);
-                let s = robust_scale(&res);
-                if s > 1e-12 * y_mag {
-                    scale = s;
-                }
+                fit.refit(xs, trimmed, &mut scratch);
             }
         }
-
-        let outliers = res.iter().filter(|r| r.abs() > self.trim_z * scale).count();
-        Ok((
-            model,
-            RobustReport {
-                iterations,
-                scale,
-                outliers,
-                contamination: outliers as f64 / n.max(1) as f64,
-                downweighted,
-                ols_identical: false,
-            },
-        ))
+        Ok(fits.map(|fit| fit.finish(self.trim_z)))
     }
 }
 
+/// One target's outcome of [`HuberRegression::fit_targets`].
+#[derive(Debug, Clone)]
+pub struct RobustFit {
+    /// The ordinary least-squares fit of the target: the base fit IRLS
+    /// starts from.
+    pub ols: LinearRegression,
+    /// The robust model; the OLS fit itself when `report.ols_identical`.
+    pub model: LinearRegression,
+    /// Contamination diagnostics.
+    pub report: RobustReport,
+}
+
+/// One target's state through [`HuberRegression::fit_targets`].
+struct Irls<'y> {
+    ys: &'y [f64],
+    /// The response magnitude the scale thresholds are relative to.
+    y_mag: f64,
+    ols: LinearRegression,
+    model: LinearRegression,
+    res: Vec<f64>,
+    scale: f64,
+    /// True when the base fit is returned untouched.
+    clean: bool,
+    iterating: bool,
+    iterations: usize,
+    downweighted: usize,
+    /// √w and √w-scaled target buffers, refilled per IRLS iteration.
+    sqrt_weights: Vec<f64>,
+    wys: Vec<f64>,
+    /// The trimmed refit's rows and targets, and whether it runs.
+    keep: Vec<usize>,
+    tys: Vec<f64>,
+    trimming: bool,
+}
+
+impl<'y> Irls<'y> {
+    fn start(
+        h: &HuberRegression,
+        xs: &[impl AsRef<[f64]>],
+        ys: &'y [f64],
+        ols: LinearRegression,
+        scratch: &mut Vec<f64>,
+    ) -> Self {
+        let mut res = Vec::with_capacity(ys.len());
+        residuals(&ols, xs, ys, &mut res);
+        let scale = robust_scale(&res, scratch);
+        // Exact (or numerically exact) fit: nothing to reweight. The
+        // threshold is relative to the response magnitude so the guarantee
+        // holds at ConvMeter scales (seconds ~ 1e-4) as well as unit scales.
+        // Clean data: every residual already inside the Huber band means
+        // every weight is 1 and IRLS would reproduce the base fit anyway —
+        // return it untouched to keep the bit-identity guarantee.
+        let y_mag = ys.iter().fold(0.0f64, |a, &y| a.max(y.abs())).max(1.0);
+        let clean = scale <= 1e-12 * y_mag || res.iter().all(|r| r.abs() <= h.tuning * scale);
+        let buffer = |len| if clean { Vec::new() } else { vec![0.0f64; len] };
+        Self {
+            ys,
+            y_mag,
+            model: ols.clone(),
+            ols,
+            scale,
+            clean,
+            iterating: !clean,
+            iterations: 0,
+            downweighted: 0,
+            sqrt_weights: buffer(res.len()),
+            wys: buffer(res.len()),
+            res,
+            keep: Vec::new(),
+            tys: Vec::new(),
+            trimming: false,
+        }
+    }
+
+    /// Refill the Huber weights from the current residuals and scale.
+    fn reweight(&mut self, tuning: f64) {
+        self.downweighted = 0;
+        let rows = self.sqrt_weights.iter_mut().zip(&mut self.wys);
+        for (((sw, wy), r), &y) in rows.zip(&self.res).zip(self.ys) {
+            let w = (tuning * self.scale / r.abs()).min(1.0);
+            self.downweighted += usize::from(w < 1.0);
+            *sw = w.sqrt();
+            *wy = y * *sw;
+        }
+    }
+
+    /// Take one IRLS step's weighted fit; stop once the coefficients move
+    /// less than `tol`.
+    fn step(
+        &mut self,
+        tol: f64,
+        xs: &[impl AsRef<[f64]>],
+        next: LinearRegression,
+        scratch: &mut Vec<f64>,
+    ) {
+        self.iterations += 1;
+        let delta = coef_delta(&self.model, &next);
+        self.refit(xs, next, scratch);
+        if delta < tol {
+            self.iterating = false;
+        }
+    }
+
+    /// Adopt `model`, and its residual scale unless that is numerically
+    /// zero.
+    fn refit(&mut self, xs: &[impl AsRef<[f64]>], model: LinearRegression, scratch: &mut Vec<f64>) {
+        self.model = model;
+        residuals(&self.model, xs, self.ys, &mut self.res);
+        let scale = robust_scale(&self.res, scratch);
+        if scale > 1e-12 * self.y_mag {
+            self.scale = scale;
+        }
+    }
+
+    /// Choose the rows within `trim_z` scales for the trimmed refit, which
+    /// runs when it drops at least one row and keeps more than `unknowns`.
+    fn select_core(&mut self, trim_z: f64, unknowns: usize) {
+        let bound = trim_z * self.scale;
+        self.keep.clear();
+        self.keep
+            .extend((0..self.res.len()).filter(|&i| self.res[i].abs() <= bound));
+        self.trimming = self.keep.len() < self.res.len() && self.keep.len() > unknowns;
+        if self.trimming {
+            self.tys.clear();
+            self.tys.extend(self.keep.iter().map(|&i| self.ys[i]));
+        }
+    }
+
+    fn finish(self, trim_z: f64) -> RobustFit {
+        if self.clean {
+            return RobustFit {
+                ols: self.ols,
+                model: self.model,
+                report: RobustReport::clean(self.scale),
+            };
+        }
+        let n = self.res.len();
+        let outliers = self
+            .res
+            .iter()
+            .filter(|r| r.abs() > trim_z * self.scale)
+            .count();
+        RobustFit {
+            ols: self.ols,
+            model: self.model,
+            report: RobustReport {
+                iterations: self.iterations,
+                scale: self.scale,
+                outliers,
+                contamination: outliers as f64 / n.max(1) as f64,
+                downweighted: self.downweighted,
+                ols_identical: false,
+            },
+        }
+    }
+}
+
+/// `res[i] = ys[i] - model(xs[i])`, refilled in place.
+fn residuals(model: &LinearRegression, xs: &[impl AsRef<[f64]>], ys: &[f64], res: &mut Vec<f64>) {
+    res.clear();
+    res.extend(
+        xs.iter()
+            .zip(ys)
+            .map(|(x, &y)| y - model.predict(x.as_ref())),
+    );
+}
+
 /// Robust residual scale: median absolute deviation from zero, normalised
-/// to be consistent with the standard deviation under normal errors.
-fn robust_scale(residuals: &[f64]) -> f64 {
+/// to be consistent with the standard deviation under normal errors. The
+/// median is selected, not sorted for, in `scratch`.
+fn robust_scale(residuals: &[f64], scratch: &mut Vec<f64>) -> f64 {
     if residuals.is_empty() {
         return 0.0;
     }
-    let mut abs: Vec<f64> = residuals.iter().map(|r| r.abs()).collect();
+    scratch.clear();
+    scratch.extend(residuals.iter().map(|r| r.abs()));
+    let mid = scratch.len() / 2;
+    let even = scratch.len().is_multiple_of(2);
     // analyzer:allow(CA0004, reason = "fit rejects non-finite inputs, so residuals are finite and totally ordered")
-    abs.sort_by(|a, b| a.partial_cmp(b).expect("residuals are finite"));
-    let mid = abs.len() / 2;
-    let median = if abs.len().is_multiple_of(2) {
-        // analyzer:allow(CA0007, reason = "the empty case returned above, so an even length means mid >= 1")
-        (abs[mid - 1] + abs[mid]) / 2.0
+    let order = |a: &f64, b: &f64| a.partial_cmp(b).expect("residuals are finite");
+    let (lower, &mut upper, _) = scratch.select_nth_unstable_by(mid, order);
+    let median = if even {
+        // The sorted neighbour below `mid` is the largest of the lower
+        // partition.
+        let below = lower.iter().fold(f64::NEG_INFINITY, |a, &b| a.max(b));
+        (below + upper) / 2.0
     } else {
-        abs[mid]
+        upper
     };
     median / MAD_NORMAL
 }
@@ -282,14 +424,32 @@ fn coef_delta(a: &LinearRegression, b: &LinearRegression) -> f64 {
     worst
 }
 
-/// The robust fit before its solves moved onto one design buffer: every
-/// IRLS step built a fresh `Vec` per weighted row and fitted it through the
-/// `Matrix` reference path, and the trimmed refit cloned its rows. Kept as
-/// the oracle [`HuberRegression::fit`] must match bit for bit.
+/// The robust fit before its solves moved onto one design buffer and its
+/// targets into lockstep: one target at a time, every IRLS step built a
+/// fresh `Vec` per weighted row and fitted it through the `Matrix`
+/// reference path, the trimmed refit cloned its rows, and each robust scale
+/// sorted a fresh copy of the residuals. Kept as the oracle
+/// [`HuberRegression::fit_targets`] must match bit for bit, target by
+/// target.
 #[cfg(test)]
 mod reference {
-    use super::{coef_delta, robust_scale, HuberRegression, RobustReport};
+    use super::{coef_delta, HuberRegression, RobustReport, MAD_NORMAL};
     use crate::regression::{reference, FitError, LinearRegression};
+
+    pub(super) fn robust_scale(residuals: &[f64]) -> f64 {
+        if residuals.is_empty() {
+            return 0.0;
+        }
+        let mut abs: Vec<f64> = residuals.iter().map(|r| r.abs()).collect();
+        abs.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        let mid = abs.len() / 2;
+        let median = if abs.len().is_multiple_of(2) {
+            (abs[mid - 1] + abs[mid]) / 2.0
+        } else {
+            abs[mid]
+        };
+        median / MAD_NORMAL
+    }
 
     fn weighted_fit(
         h: &HuberRegression,
@@ -590,6 +750,133 @@ mod tests {
                 }
             }
         }
+    }
+
+    fn report_bits(m: &LinearRegression, r: &RobustReport) -> Vec<u64> {
+        let mut b: Vec<u64> = m.coefficients().iter().map(|c| c.to_bits()).collect();
+        b.extend([m.intercept().to_bits(), r.scale.to_bits()]);
+        b.extend([r.iterations, r.outliers, r.downweighted].map(|v| v as u64));
+        b.push(u64::from(r.ols_identical));
+        b
+    }
+
+    /// Fit `targets` in one lockstep call and check each target's model,
+    /// report and OLS fit bit for bit against the one-target reference.
+    fn lockstep_reports<const N: usize>(
+        h: &HuberRegression,
+        xs: &[Vec<f64>],
+        targets: &[Vec<f64>; N],
+    ) -> [RobustReport; N] {
+        let fits = h
+            .fit_targets(xs, targets.each_ref().map(Vec::as_slice))
+            .unwrap();
+        for (t, (ys, fit)) in targets.iter().zip(&fits).enumerate() {
+            let (want, want_report) = reference::fit(h, xs, ys).unwrap();
+            assert_eq!(
+                report_bits(&fit.model, &fit.report),
+                report_bits(&want, &want_report),
+                "target {t}"
+            );
+            let ols = h.base().fit(xs, ys).unwrap();
+            assert_eq!(
+                report_bits(&fit.ols, &fit.report),
+                report_bits(&ols, &fit.report),
+                "target {t}: OLS"
+            );
+        }
+        fits.map(|fit| fit.report)
+    }
+
+    /// `ys` with every `every`-th row from row 2 on spiked by about
+    /// `factor`.
+    fn spiked(ys: &[f64], every: usize, factor: f64) -> Vec<f64> {
+        let mut ys = ys.to_vec();
+        for (i, y) in ys.iter_mut().enumerate().skip(2) {
+            if i % every == 0 {
+                *y *= factor + (i % 7) as f64;
+            }
+        }
+        ys
+    }
+
+    #[test]
+    fn lockstep_targets_match_per_target_reference_bitwise() {
+        let (xs, exact, ..) = eq2_data(120);
+        let noisy: Vec<f64> = exact
+            .iter()
+            .enumerate()
+            .map(|(i, y)| y * (1.0 + 1e-3 * (i as f64 * 1.7).sin()))
+            .collect();
+        let targets = [
+            exact.clone(),
+            spiked(&noisy, 19, 10.0),
+            spiked(&noisy, 9, 30.0),
+            spiked(&noisy, 5, 20.0),
+            noisy.clone(),
+        ];
+        for lambda in [0.0, 1e-6] {
+            let h = HuberRegression::new().with_ridge(lambda);
+            let reports = lockstep_reports(&h, &xs, &targets);
+            // The clean short-circuit, trimmed refits, and IRLS runs that
+            // stop at different iterations.
+            assert_eq!(reports[0].ols_identical, lambda == 0.0, "{reports:?}");
+            assert!(reports[1..4].iter().all(|r| r.outliers > 0), "{reports:?}");
+            let mut iterations: Vec<usize> = reports[1..].iter().map(|r| r.iterations).collect();
+            iterations.sort_unstable();
+            iterations.dedup();
+            assert!(iterations.len() >= 2, "{reports:?}");
+        }
+    }
+
+    #[test]
+    fn a_failed_weighted_fit_stops_only_its_own_target() {
+        // Rows 0 and 1 share their features, and column 1 differs from
+        // column 0 only on them: weighting both rows to almost nothing
+        // leaves the weighted design rank deficient.
+        let xs: Vec<Vec<f64>> = (0..80)
+            .map(|i| {
+                let t = i.max(1) as f64;
+                let bump = if i < 2 { 1e-10 } else { 0.0 };
+                vec![t, t + bump, (t * 0.37).sin() * 5.0]
+            })
+            .collect();
+        let exact: Vec<f64> = xs.iter().map(|x| 2.0 * x[0] + 0.5 * x[2] + 1.0).collect();
+        let noisy: Vec<f64> = exact
+            .iter()
+            .enumerate()
+            .map(|(i, y)| y + 1e-3 * (i as f64 * 1.7).sin())
+            .collect();
+        // Opposite spikes on rows 0 and 1, so the base fit's column-1
+        // direction absorbs neither and both rows are weighted to ~1e-11.
+        let mut broken = noisy.clone();
+        broken[0] += 1e8;
+        broken[1] -= 1e8;
+        let targets = [spiked(&noisy, 9, 30.0), broken, spiked(&noisy, 5, 20.0)];
+        let reports = lockstep_reports(&HuberRegression::new(), &xs, &targets);
+        // The broken target stops at its first weighted fit while its
+        // neighbours keep iterating.
+        assert_eq!(reports[1].iterations, 0, "{reports:?}");
+        assert!(!reports[1].ols_identical);
+        assert!(
+            reports[0].iterations > 1 && reports[2].iterations > 1,
+            "{reports:?}"
+        );
+    }
+
+    #[test]
+    fn median_by_selection_matches_sorting_bitwise() {
+        let mut scratch = Vec::new();
+        for len in [1, 2, 3, 4, 7, 10, 1127] {
+            let residuals: Vec<f64> = (0..len)
+                .map(|i| ((i * 7919 % 1009) as f64 - 500.0) * 1e-3 * (i as f64 * 0.3).cos())
+                .collect();
+            assert_eq!(
+                robust_scale(&residuals, &mut scratch).to_bits(),
+                reference::robust_scale(&residuals).to_bits(),
+                "{len}"
+            );
+        }
+        assert_eq!(robust_scale(&[], &mut scratch), 0.0);
     }
 
     #[test]

@@ -53,9 +53,10 @@ test -f "$BENCH_TMP/ext_strategies.json"
 rm -rf "$BENCH_TMP"
 
 echo "==> convmeter bench --only table1,table3,contamination --jobs 2 (nested fan-out smoke run)"
-# table1 and table3 fit their leave-one-model-out folds on the pool, and
-# contamination its five rates, from inside engine workers whose sweeps fan
-# out too. Every artefact must still hash to its pinned bench-fits digest.
+# table1 and table3 fit their leave-one-model-out folds on the pool, in
+# lockstep groups, from inside engine workers whose sweeps fan out too;
+# contamination fits its five rates in one lockstep robust call. Every
+# artefact must still hash to its pinned bench-fits digest.
 FANOUT_TMP="$(mktemp -d)"
 FANOUT_EXPS="table1 table3 contamination"
 CONVMETER_RESULTS="$FANOUT_TMP" \
