@@ -1,6 +1,6 @@
 //! Workspace-wide symbol index: every parsed `fn` item keyed the ways a
 //! call site can name it, plus the resolution policy that turns a
-//! [`CallSite`](crate::parser::CallSite) into candidate definitions.
+//! [`CallSite`] into candidate definitions.
 //!
 //! Resolution is deliberately conservative. A call resolves only when the
 //! index narrows it to one definition site (same file, then same crate,

@@ -1,7 +1,7 @@
 //! The unified experiment engine.
 //!
 //! Every paper artefact (tables, figures, ablations, extensions) is one
-//! [`Experiment`] in a typed [`registry`]. The engine resolves each
+//! [`Experiment`] in a typed [`registry`](mod@registry). The engine resolves each
 //! experiment's dataset dependencies through a shared content-addressed
 //! [`DatasetStore`] — so the expensive benchmark sweeps run exactly once per
 //! distinct configuration, in-process and across processes — executes

@@ -1,7 +1,7 @@
 //! Experiment harness for the ConvMeter reproduction.
 //!
 //! Every table and figure in the paper's evaluation section is an
-//! [`engine::Experiment`] registered in [`engine::registry`], and
+//! [`engine::Experiment`] registered in [`engine::registry()`], and
 //! `convmeter bench` drives the registry (or `--only` a subset of it) with
 //! a shared content-addressed dataset cache and a parallel scheduler.
 //!

@@ -383,51 +383,6 @@ pub fn eval(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `convmeter pipeline <model> --model-file FILE [--stages K]
-/// [--micro-batch M] [--micro-batches N] [--link-gbps G]`
-pub fn pipeline(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
-    let model_path = args.required("model-file")?;
-    let name = args.positional(0, "model")?;
-    let image = args.get_or("image", 224usize)?;
-    let stages = args.get_or("stages", 4usize)?;
-    let micro_batch = args.get_or("micro-batch", 8usize)?;
-    let micro_batches = args.get_or("micro-batches", 32usize)?;
-    let link = args.get_or("link-gbps", 230.0f64)? * 1e9;
-    let model = persist::load_forward_model(model_path)?;
-    let spec =
-        zoo::by_name(name).ok_or_else(|| CliError::Usage(format!("unknown model '{name}'")))?;
-    let graph = spec.build(image, 1000);
-    let plan = convmeter::plan_pipeline(&model, &graph, stages, micro_batch)
-        .map_err(|e| CliError::Usage(e.to_string()))?;
-    writeln!(
-        out,
-        "{name} split into {stages} pipeline stages (micro-batch {micro_batch}):"
-    )?;
-    writeln!(out, "  stage  nodes        compute  boundary (MB)")?;
-    for (i, s) in plan.stages.iter().enumerate() {
-        writeln!(
-            out,
-            "  {i:>5}  {:>4}..{:<4}  {:>7.3} ms  {:>12.2}",
-            s.start,
-            s.end,
-            s.compute * 1e3,
-            s.boundary_elements as f64 * micro_batch as f64 * 4.0 / 1e6
-        )?;
-    }
-    writeln!(
-        out,
-        "  imbalance (bottleneck/mean): {:.2}",
-        plan.imbalance()
-    )?;
-    writeln!(
-        out,
-        "  step time for {micro_batches} micro-batches: {:.2} ms; steady-state {:.0} images/s",
-        plan.step_time(micro_batches, link) * 1e3,
-        plan.throughput(link)
-    )?;
-    Ok(())
-}
-
 /// `convmeter compare-strategies <model> [--nodes N] [--batch B] [--image I]`
 pub fn compare_strategies(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     use convmeter_distsim::{
@@ -503,34 +458,6 @@ pub fn nas(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         }
         None => writeln!(out, "no feasible architecture found; relax the budget")?,
     }
-    Ok(())
-}
-
-/// `convmeter trace <model> --out FILE [--nodes N] [--batch B] [--image I]`
-pub fn trace(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
-    use convmeter_distsim::{trace_step, ClusterConfig, SyncStrategy};
-    let name = args.positional(0, "model")?;
-    let path = args.required("out")?;
-    let image = args.get_or("image", 128usize)?;
-    let batch = args.get_or("batch", 64usize)?;
-    let nodes = args.get_or("nodes", 2usize)?;
-    let device = DeviceProfile::a100_80gb();
-    let metrics = model_metrics(name, image)?;
-    let cluster = ClusterConfig::hpc_cluster(nodes);
-    let trace = trace_step(&device, &cluster, &metrics, batch, SyncStrategy::FlatRing);
-    std::fs::write(path, trace.to_json())?;
-    writeln!(
-        out,
-        "wrote {} events to {path} (open in chrome://tracing or Perfetto)",
-        trace.trace_events.len()
-    )?;
-    writeln!(
-        out,
-        "step {:.2} ms on {} devices; {:.0}% of communication overlapped with backward",
-        trace.metadata.step_seconds * 1e3,
-        trace.metadata.devices,
-        trace.comm_overlap_fraction() * 100.0
-    )?;
     Ok(())
 }
 

@@ -211,15 +211,10 @@ COMMANDS:
                                       --model-file FILE [--batches ...]
   bottlenecks <model>               rank blocks by predicted latency
                                       --model-file FILE [--batch] [--top N]
-  pipeline <model>                  plan K-stage model parallelism
-                                      --model-file FILE [--stages K]
-                                      [--micro-batch M] [--link-gbps G]
   compare-strategies <model>        flat ring vs hierarchical vs param server
                                       [--nodes N] [--batch B]
   nas                               latency-constrained architecture search
                                       --model-file FILE [--budget-ms B]
-  trace <model>                     Chrome-trace timeline of one training step
-                                      --out FILE [--nodes N] [--batch B]
   calibrate                         fit a device profile to real measurements
                                       --data FILE --out PROFILE
   eval                              leave-one-model-out accuracy report
@@ -285,9 +280,7 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         "scale-nodes" => commands::scale_nodes(&args, out),
         "scale-batch" => commands::scale_batch(&args, out),
         "bottlenecks" => commands::bottlenecks(&args, out),
-        "pipeline" => commands::pipeline(&args, out),
         "compare-strategies" => commands::compare_strategies(&args, out),
-        "trace" => commands::trace(&args, out),
         "nas" => commands::nas(&args, out),
         "calibrate" => commands::calibrate(&args, out),
         "eval" => commands::eval(&args, out),
@@ -451,19 +444,10 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_and_strategy_commands() {
-        let data = tmpfile("pipe-data");
-        let model = tmpfile("pipe-model");
-        run_str(&["benchmark", "--out", &data, "--quick"]).unwrap();
-        run_str(&["fit", "--data", &data, "--out", &model]).unwrap();
-        let out = run_str(&["pipeline", "--model-file", &model, "vgg16", "--stages", "4"]).unwrap();
-        assert!(out.contains("pipeline stages"));
-        assert!(out.contains("imbalance"));
+    fn compare_strategies_command() {
         let out = run_str(&["compare-strategies", "alexnet", "--nodes", "8"]).unwrap();
         assert!(out.contains("parameter server"));
         assert!(out.contains("hierarchical"));
-        std::fs::remove_file(data).ok();
-        std::fs::remove_file(model).ok();
     }
 
     #[test]
@@ -512,16 +496,6 @@ mod tests {
         assert!(out.contains("best feasible architecture"), "{out}");
         std::fs::remove_file(data).ok();
         std::fs::remove_file(model).ok();
-    }
-
-    #[test]
-    fn trace_command_writes_chrome_json() {
-        let path = tmpfile("trace");
-        let out = run_str(&["trace", "resnet18", "--out", &path, "--nodes", "2"]).unwrap();
-        assert!(out.contains("chrome://tracing"));
-        let body = std::fs::read_to_string(&path).unwrap();
-        assert!(body.contains("traceEvents"));
-        std::fs::remove_file(path).ok();
     }
 
     #[test]

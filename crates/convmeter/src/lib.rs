@@ -47,7 +47,6 @@ pub mod forward;
 pub mod model_lint;
 pub mod nas;
 pub mod persist;
-pub mod pipeline;
 pub mod scalability;
 pub mod training;
 
@@ -63,7 +62,6 @@ pub use eval::{
 pub use forward::ForwardModel;
 pub use model_lint::{lint_design_matrix, lint_forward_model, lint_measured_times};
 pub use nas::{search as nas_search, NasConfig, NasResult};
-pub use pipeline::{plan_pipeline, PipelinePlan};
 pub use scalability::{epoch_time, throughput_vs_batch, throughput_vs_nodes, turning_point};
 pub use training::{GradUpdateModel, TrainingModel};
 

@@ -362,33 +362,6 @@ impl TrainingModel {
         let steps_per_epoch = dataset_size as f64 / (per_device_batch * devices) as f64;
         steps_per_epoch * step
     }
-
-    /// Predicted epoch time including the input pipeline (the IO phase of
-    /// the paper's Figure 1). Loading is prefetched: only the stall beyond
-    /// the compute step is visible, plus one pipeline fill at epoch start.
-    #[allow(clippy::too_many_arguments)]
-    pub fn predict_epoch_with_io(
-        &self,
-        metrics: &ModelMetrics,
-        storage: &convmeter_distsim::StorageProfile,
-        image_size: usize,
-        dataset_size: usize,
-        per_device_batch: usize,
-        nodes: usize,
-        devices: usize,
-    ) -> f64 {
-        let bm = metrics.at_batch(per_device_batch);
-        let phases = convmeter_hwsim::TrainingPhases {
-            forward: self.predict_forward(&bm),
-            backward: 0.0,
-            // Fold the fused bwd+grad prediction into one phase slot.
-            grad_update: self.predict_bwd_grad(&bm, nodes),
-        };
-        // Each node's loader must feed all its local devices.
-        let per_node_batch = per_device_batch * devices / nodes.max(1);
-        let step = convmeter_distsim::step_with_io(phases, storage, per_node_batch, image_size);
-        convmeter_distsim::epoch_time_with_io(&step, dataset_size, per_device_batch * devices)
-    }
 }
 
 #[cfg(test)]
@@ -550,31 +523,6 @@ mod tests {
         let g4 = grad.predict(&m, 4);
         assert!(g1 > 0.0);
         assert!(g4 > g1);
-    }
-
-    #[test]
-    fn io_aware_epoch_adds_stall_only_when_storage_lags() {
-        let model = TrainingModel::fit(&multi_node_data()).unwrap();
-        let m = r18_metrics();
-        // A GPU-decode (DALI-class) pipeline comfortably feeds 4 GPUs...
-        let mut fast = convmeter_distsim::StorageProfile::local_nvme();
-        fast.decode_throughput = 50_000.0;
-        // ...a default CPU loader at 4000 img/s per node does not: small
-        // ResNets at 128 px are genuinely input-bound, and the model says so.
-        let cpu_loader = convmeter_distsim::StorageProfile::local_nvme();
-        let plain = model.predict_epoch(&m, 1_281_167, 64, 2, 8);
-        let with_fast = model.predict_epoch_with_io(&m, &fast, 128, 1_281_167, 64, 2, 8);
-        let with_cpu = model.predict_epoch_with_io(&m, &cpu_loader, 128, 1_281_167, 64, 2, 8);
-        // Fast loaders hide behind compute: within a pipeline-fill of plain.
-        assert!(
-            with_fast < plain * 1.05,
-            "fast {with_fast} vs plain {plain}"
-        );
-        // The stock loader stalls the step visibly.
-        assert!(
-            with_cpu > 1.2 * plain,
-            "cpu loader {with_cpu} vs plain {plain}"
-        );
     }
 
     #[test]

@@ -26,21 +26,16 @@
 #![warn(missing_docs)]
 
 pub mod cluster;
-pub mod dataio;
 pub mod fusion;
 pub mod parallel;
-pub mod pipeline_sim;
 pub mod ring;
 pub mod step;
 pub mod strategies;
 pub mod sweep;
-pub mod trace;
 
 pub use cluster::ClusterConfig;
-pub use dataio::{epoch_time_with_io, step_with_io, StepWithIo, StorageProfile};
 pub use fusion::{fuse_gradients, Bucket};
 pub use parallel::simulate_step_threaded;
-pub use pipeline_sim::{simulate_pipeline, PipelineSimResult, SimStage};
 pub use ring::{all_reduce_time, all_reduce_time_with_dropout, reduce_scatter_time};
 pub use step::{
     expected_distributed_phases, expected_distributed_phases_with_strategy, BatchStep, StepModel,
@@ -51,4 +46,3 @@ pub use strategies::{
 pub use sweep::{
     distributed_sweep, distributed_sweep_faulted, DistSweepConfig, DistTrainingSample,
 };
-pub use trace::{trace_step, StepTrace};

@@ -406,14 +406,6 @@ impl Graph {
         }
         Ok(g)
     }
-
-    /// Extract every registered block as a standalone graph.
-    pub fn extract_all_blocks(&self) -> Vec<(String, Graph)> {
-        self.blocks
-            .iter()
-            .filter_map(|b| self.extract_block(b).ok().map(|g| (b.name.clone(), g)))
-            .collect()
-    }
 }
 
 #[cfg(test)]

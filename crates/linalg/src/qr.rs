@@ -421,7 +421,7 @@ impl RidgeDesign {
 
     /// Factor the design in place and solve it for every right-hand side
     /// (one `obs`-long target each): the batch of one of
-    /// [`RidgeDesign::solve_batch`].
+    /// `RidgeDesign::solve_batch`.
     pub fn solve<const N: usize>(self, bs: [&[f64]; N]) -> Result<[Vec<f64>; N], QrError> {
         only(Self::solve_batch([Ok::<_, QrError>((self, bs))]))
     }

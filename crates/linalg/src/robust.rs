@@ -231,7 +231,9 @@ pub struct RobustFit {
 /// One target's state through [`HuberRegression::fit_targets`].
 struct Irls<'y> {
     ys: &'y [f64],
-    /// The response magnitude the scale thresholds are relative to.
+    /// The response magnitude `refit`'s zero-scale test is relative to:
+    /// the maximum |y|, at least 1. (Outliers inflate it, so a large enough
+    /// one freezes the scale; ROADMAP item 14.)
     y_mag: f64,
     ols: LinearRegression,
     model: LinearRegression,
@@ -265,11 +267,14 @@ impl<'y> Irls<'y> {
         // Exact (or numerically exact) fit: nothing to reweight. The
         // threshold is relative to the response magnitude so the guarantee
         // holds at ConvMeter scales (seconds ~ 1e-4) as well as unit scales.
+        // The magnitude is the median |y|, not the maximum, so an outlier
+        // cannot lift the threshold above the scale it leaves behind.
         // Clean data: every residual already inside the Huber band means
         // every weight is 1 and IRLS would reproduce the base fit anyway —
         // return it untouched to keep the bit-identity guarantee.
+        let exact = 1e-12 * median_abs(ys, scratch).max(1.0);
+        let clean = scale <= exact || res.iter().all(|r| r.abs() <= h.tuning * scale);
         let y_mag = ys.iter().fold(0.0f64, |a, &y| a.max(y.abs())).max(1.0);
-        let clean = scale <= 1e-12 * y_mag || res.iter().all(|r| r.abs() <= h.tuning * scale);
         let buffer = |len| if clean { Vec::new() } else { vec![0.0f64; len] };
         Self {
             ys,
@@ -384,28 +389,32 @@ fn residuals(model: &LinearRegression, xs: &[impl AsRef<[f64]>], ys: &[f64], res
 }
 
 /// Robust residual scale: median absolute deviation from zero, normalised
-/// to be consistent with the standard deviation under normal errors. The
-/// median is selected, not sorted for, in `scratch`.
+/// to be consistent with the standard deviation under normal errors.
 fn robust_scale(residuals: &[f64], scratch: &mut Vec<f64>) -> f64 {
-    if residuals.is_empty() {
+    median_abs(residuals, scratch) / MAD_NORMAL
+}
+
+/// Median of `|v|` over `values` (0 when empty), selected, not sorted for,
+/// in `scratch`.
+fn median_abs(values: &[f64], scratch: &mut Vec<f64>) -> f64 {
+    if values.is_empty() {
         return 0.0;
     }
     scratch.clear();
-    scratch.extend(residuals.iter().map(|r| r.abs()));
+    scratch.extend(values.iter().map(|v| v.abs()));
     let mid = scratch.len() / 2;
     let even = scratch.len().is_multiple_of(2);
-    // analyzer:allow(CA0004, reason = "fit rejects non-finite inputs, so residuals are finite and totally ordered")
-    let order = |a: &f64, b: &f64| a.partial_cmp(b).expect("residuals are finite");
+    // analyzer:allow(CA0004, reason = "fit rejects non-finite inputs, so targets and residuals are finite and totally ordered")
+    let order = |a: &f64, b: &f64| a.partial_cmp(b).expect("targets and residuals are finite");
     let (lower, &mut upper, _) = scratch.select_nth_unstable_by(mid, order);
-    let median = if even {
+    if even {
         // The sorted neighbour below `mid` is the largest of the lower
         // partition.
         let below = lower.iter().fold(f64::NEG_INFINITY, |a, &b| a.max(b));
         (below + upper) / 2.0
     } else {
         upper
-    };
-    median / MAD_NORMAL
+    }
 }
 
 /// Largest relative coefficient change between two fits.
@@ -437,18 +446,21 @@ mod reference {
     use crate::regression::{reference, FitError, LinearRegression};
 
     pub(super) fn robust_scale(residuals: &[f64]) -> f64 {
-        if residuals.is_empty() {
+        median_abs(residuals) / MAD_NORMAL
+    }
+
+    fn median_abs(values: &[f64]) -> f64 {
+        if values.is_empty() {
             return 0.0;
         }
-        let mut abs: Vec<f64> = residuals.iter().map(|r| r.abs()).collect();
+        let mut abs: Vec<f64> = values.iter().map(|v| v.abs()).collect();
         abs.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let mid = abs.len() / 2;
-        let median = if abs.len().is_multiple_of(2) {
+        if abs.len().is_multiple_of(2) {
             (abs[mid - 1] + abs[mid]) / 2.0
         } else {
             abs[mid]
-        };
-        median / MAD_NORMAL
+        }
     }
 
     fn weighted_fit(
@@ -496,7 +508,9 @@ mod reference {
         let mut res = residuals(&base);
         let mut scale = robust_scale(&res);
         let y_mag = ys.iter().fold(0.0f64, |a, &y| a.max(y.abs())).max(1.0);
-        if scale <= 1e-12 * y_mag || res.iter().all(|r| r.abs() <= h.tuning * scale) {
+        if scale <= 1e-12 * median_abs(ys).max(1.0)
+            || res.iter().all(|r| r.abs() <= h.tuning * scale)
+        {
             return Ok((base, RobustReport::clean(scale)));
         }
         let mut model = base;
@@ -860,6 +874,37 @@ mod tests {
         assert!(
             reports[0].iterations > 1 && reports[2].iterations > 1,
             "{reports:?}"
+        );
+    }
+
+    #[test]
+    fn a_huge_spike_does_not_pass_as_an_exact_fit() {
+        // Column 2 is non-zero only on row 0, so the OLS fit absorbs the
+        // spike there and its rounding leaves a residual scale of ~1e13
+        // everywhere: below 1e-12·max|y| = 1e18, which took the
+        // contaminated base fit for an exact one (no iterations, reported
+        // clean), but far above 1e-12·median|y|.
+        let xs: Vec<Vec<f64>> = (0..80)
+            .map(|i| {
+                let t = i as f64 + 1.0;
+                vec![t, (t * 0.37).sin() * 5.0, f64::from(u8::from(i == 0))]
+            })
+            .collect();
+        let mut ys: Vec<f64> = xs
+            .iter()
+            .enumerate()
+            .map(|(i, x)| 2.0 * x[0] + 0.5 * x[1] + 1.0 + 1e-3 * (i as f64 * 1.7).sin())
+            .collect();
+        ys[0] += 1e30;
+        let h = HuberRegression::new();
+        let (model, report) = h.fit(&xs, &ys).unwrap();
+        assert!(report.iterations > 0, "{report:?}");
+        assert!(!report.ols_identical, "{report:?}");
+        assert!(report.outliers > 0, "{report:?}");
+        let (want, want_report) = reference::fit(&h, &xs, &ys).unwrap();
+        assert_eq!(
+            report_bits(&model, &report),
+            report_bits(&want, &want_report)
         );
     }
 

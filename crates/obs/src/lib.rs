@@ -8,7 +8,7 @@
 //!
 //! Three pieces:
 //!
-//! * [`span`] — RAII span guards with thread-local nesting, monotonic
+//! * [`span`](mod@span) — RAII span guards with thread-local nesting, monotonic
 //!   clocks, and an aggregation sink that only locks when a thread's
 //!   outermost span closes;
 //! * [`metric`] — a typed registry of counters, gauges, and fixed

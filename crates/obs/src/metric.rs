@@ -4,7 +4,7 @@
 //! Handles are `Arc`s that stay registered for the life of the process, so
 //! hot paths cache them in a `OnceLock` (the [`crate::counter!`] /
 //! [`crate::gauge!`] / [`crate::histogram!`] macros do this) and pay one
-//! relaxed atomic op per event. [`reset`] zeroes values *in place* rather
+//! relaxed atomic op per event. `reset` zeroes values *in place* rather
 //! than dropping handles, so cached handles survive across sessions.
 //!
 //! Naming convention (see `docs/observability.md`): dot-separated

@@ -275,12 +275,6 @@ pub fn parse_head(raw: &[u8]) -> Result<Head, HttpError> {
     })
 }
 
-/// Read and parse one request from `stream`, enforcing size limits and the
-/// default connection deadline.
-pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
-    read_request_within(stream, IO_TIMEOUT)
-}
-
 /// Read and parse one request from `stream` under an explicit whole-message
 /// `budget`. The server threads each connection's remaining deadline budget
 /// (admission → queue wait → read) through this, so time spent queued

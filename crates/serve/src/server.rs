@@ -246,7 +246,7 @@ impl Server {
 
     /// Ask the server to drain and stop. Idempotent. Sets the stop flag,
     /// then wakes the blocked accept thread with one loopback connection
-    /// (retried every [`WAKE_INTERVAL`] while connecting fails) and waits
+    /// (retried every `WAKE_INTERVAL` while connecting fails) and waits
     /// until the drain has begun, for at most `WAKE_TRIES * WAKE_INTERVAL`.
     /// The wake-up connection is shed as a late arrival, so a shutdown
     /// counts at most one shed of its own. Returns without waiting for the

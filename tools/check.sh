@@ -9,6 +9,9 @@ cargo fmt --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "==> cargo doc --no-deps --workspace (rustdoc warnings, such as a broken intra-doc link, are fatal)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+
 echo "==> cargo check benchmark/ (own workspace: an API change in crates/* must not break it)"
 # cargo prunes stale entries from benchmark/Cargo.lock while resolving
 # offline; that local rewrite is not part of any change to commit.
