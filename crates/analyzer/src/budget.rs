@@ -34,20 +34,6 @@ pub fn check(budget: &BTreeMap<String, usize>, counts: &BTreeMap<String, usize>)
         .collect()
 }
 
-/// Rules whose live count has dropped below the committed cap: candidates
-/// for ratcheting the budget down. One line per rule with slack.
-#[must_use]
-pub fn slack(budget: &BTreeMap<String, usize>, counts: &BTreeMap<String, usize>) -> Vec<String> {
-    budget
-        .iter()
-        .filter(|(code, &cap)| counts.get(*code).copied().unwrap_or(0) < cap)
-        .map(|(code, &cap)| {
-            let n = counts.get(code).copied().unwrap_or(0);
-            format!("{code}: {n} live suppression(s) under budget {cap} — ratchet the budget down")
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -71,13 +57,10 @@ mod tests {
     }
 
     #[test]
-    fn at_or_under_budget_passes_and_reports_slack() {
+    fn at_or_under_budget_passes() {
         let budget = counts(&[("CA0004", 5), ("CD0004", 2)]);
         let live = counts(&[("CA0004", 5), ("CD0004", 1)]);
         assert!(check(&budget, &live).is_empty());
-        let slack = slack(&budget, &live);
-        assert_eq!(slack.len(), 1);
-        assert!(slack[0].starts_with("CD0004: 1 live suppression(s) under budget 2"));
     }
 
     #[test]

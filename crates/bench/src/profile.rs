@@ -49,7 +49,7 @@ pub struct ProfileOptions {
 /// Phases (each a top-level span):
 ///
 /// 1. `profile.compile` — the compile cache is pinned cold and every
-///    (model, image) pair the workload sweeps is lowered once, so the
+///    (model, image) pair the workload sweeps is compiled once, so the
 ///    one-time `compile.model` costs are measured here, separately from
 ///    the steady state;
 /// 2. `profile.datasets` — quick inference, training, and distributed
@@ -78,9 +78,9 @@ pub fn run_profile(opts: &ProfileOptions) -> Result<obs::Profile, EngineError> {
     {
         // Pin the process-global compile cache cold, then warm every
         // (model, image) pair the workload sweeps — so the one-time
-        // `compile.model` lowerings are measured here, and
+        // `compile.model` compilations are measured here, and
         // `profile.datasets` below times the steady state the compiled
-        // representation exists for (cost-table folds, no graph work).
+        // representation exists for (per-node folds, no graph work).
         let _span = obs::span!("profile.compile");
         convmeter_hwsim::compile::clear_cache();
         let quick = SweepConfig::quick();

@@ -82,7 +82,7 @@ fn attach_features<S, P>(
                     image_size: image,
                 }
             })?;
-            Ok(make(sample, compiled.at_batch(batch)))
+            Ok(make(sample, compiled.metrics.at_batch(batch)))
         })
         .collect()
 }

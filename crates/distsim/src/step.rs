@@ -564,18 +564,18 @@ mod tests {
         let grid = zoo_grid();
         assert!(grid.len() > 40, "{} pairs", grid.len());
         for cm in &grid {
-            let m = cm.to_metrics();
+            let m = &cm.metrics;
             let clusters: Vec<ClusterConfig> = paper
                 .node_counts
                 .iter()
                 .map(|&n| ClusterConfig::hpc_cluster(n))
                 .collect();
-            let model = StepModel::new(&device, &m, clusters[0].fusion_buffer_bytes);
+            let model = StepModel::new(&device, m, clusters[0].fusion_buffer_bytes);
             for &batch in &paper.batch_sizes {
                 let step = model.at_batch(batch);
                 for cluster in &clusters {
                     for strategy in STRATEGIES {
-                        let want = reference::expected(&device, cluster, &m, batch, strategy);
+                        let want = reference::expected(&device, cluster, m, batch, strategy);
                         let case = format!(
                             "{} @{} batch {batch}, {} nodes, {strategy:?}",
                             cm.id.as_str(),
@@ -584,7 +584,7 @@ mod tests {
                         );
                         assert_eq!(bits(&step.phases(cluster, strategy)), bits(&want), "{case}");
                         let composed = expected_distributed_phases_with_strategy(
-                            &device, cluster, &m, batch, strategy,
+                            &device, cluster, m, batch, strategy,
                         );
                         assert_eq!(bits(&composed), bits(&want), "{case}");
                     }
@@ -602,8 +602,8 @@ mod tests {
         let (mut inflated, mut corrupt) = (0, 0);
         for profile in [FaultProfile::disabled(), FaultProfile::light()] {
             for (k, cm) in zoo_grid().iter().enumerate() {
-                let m = cm.to_metrics();
-                let model = StepModel::new(&device, &m, fusion_buffer_bytes);
+                let m = &cm.metrics;
+                let model = StepModel::new(&device, m, fusion_buffer_bytes);
                 for &batch in &paper.batch_sizes {
                     let step = model.at_batch(batch);
                     for &nodes in &paper.node_counts {
@@ -617,7 +617,7 @@ mod tests {
                         };
                         let (mut noise, mut fault) = streams();
                         let want = reference::measure_faulted(
-                            &device, &cluster, &m, batch, &mut noise, &mut fault,
+                            &device, &cluster, m, batch, &mut noise, &mut fault,
                         );
                         let (mut noise, mut fault) = streams();
                         let got = step.measure_faulted(&cluster, &mut noise, &mut fault);

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use crate::cluster::ClusterConfig;
 use crate::step::StepModel;
 use convmeter_hwsim::{
-    compile, training_memory_bytes_compiled, DeviceProfile, FaultModel, FaultProfile, NoiseModel,
+    compile, training_memory_bytes, DeviceProfile, FaultModel, FaultProfile, NoiseModel,
     SweepError, TrainingPhases, FAULT_SALT,
 };
 use convmeter_metrics::{CompiledModel, ModelId};
@@ -141,19 +141,16 @@ fn compiled_grid(config: &DistSweepConfig) -> Result<Vec<Arc<CompiledModel>>, Sw
     Ok(grid)
 }
 
-/// All (batch, nodes) points for one compiled pair. The step simulator
-/// consumes `ModelMetrics`, reassembled from the compiled table once per
-/// pair (bit-for-bit the extraction output); memory gating uses the
-/// compiled aggregates directly (exact integer arithmetic). The step's
-/// per-pair terms are computed once, its kernel times once per batch, and
-/// only the cluster-dependent finish once per node count.
+/// All (batch, nodes) points for one compiled pair, from its cached
+/// batch-1 metrics. The step's per-pair terms are computed once, its
+/// kernel times once per batch, and only the cluster-dependent finish once
+/// per node count.
 fn dist_points(
     device: &DeviceProfile,
     config: &DistSweepConfig,
     cm: &CompiledModel,
     faults: Option<&FaultProfile>,
 ) -> Vec<DistTrainingSample> {
-    let metrics = cm.to_metrics();
     let clusters: Vec<ClusterConfig> = config
         .node_counts
         .iter()
@@ -162,10 +159,10 @@ fn dist_points(
     let Some(fusion_buffer_bytes) = clusters.first().map(|c| c.fusion_buffer_bytes) else {
         return Vec::new();
     };
-    let model = StepModel::new(device, &metrics, fusion_buffer_bytes);
+    let model = StepModel::new(device, &cm.metrics, fusion_buffer_bytes);
     let mut out = Vec::with_capacity(config.batch_sizes.len() * clusters.len());
     for &batch in &config.batch_sizes {
-        if training_memory_bytes_compiled(cm, batch) > device.memory_capacity {
+        if training_memory_bytes(&cm.metrics, batch) > device.memory_capacity {
             continue;
         }
         let step = model.at_batch(batch);

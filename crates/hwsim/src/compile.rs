@@ -2,11 +2,11 @@
 //!
 //! Every sweep point used to rebuild its graph and re-extract metrics.
 //! [`compiled`] does that work exactly once per `(model, image_size)` pair
-//! per process: it builds the zoo graph, lints it, lowers it to a
-//! [`CompiledModel`] (flat cost table + batch-scaling aggregates +
-//! fingerprint), and memoises the result behind an `Arc`. Sweeps and
-//! dataset builders then evaluate any batch size from the cached table
-//! without touching the graph again.
+//! per process: it builds the zoo graph, lints it, compiles it to a
+//! [`CompiledModel`] (batch-1 metrics with per-node costs + fingerprint),
+//! and memoises the result behind an `Arc`. Sweeps and dataset builders
+//! then evaluate any batch size from the cached metrics without touching
+//! the graph again.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -105,6 +105,25 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(a.id, ModelId::intern("resnet18"));
         assert_eq!(a.image_size, 64);
+    }
+
+    #[test]
+    fn every_supported_zoo_pair_compiles() {
+        let mut checked = 0usize;
+        for name in zoo::all_model_names() {
+            let spec = zoo::by_name(name).expect("listed model resolves");
+            for size in [64, 224] {
+                if !spec.supports(size) {
+                    continue;
+                }
+                let cm = compiled(name, size)
+                    .unwrap()
+                    .expect("supported pair compiles");
+                assert_eq!(cm.metrics.name, spec.name, "{name}@{size}");
+                checked += 1;
+            }
+        }
+        assert!(checked >= 10, "zoo sweep covered only {checked} pairs");
     }
 
     #[test]

@@ -45,21 +45,17 @@ pub use fault::{FaultModel, FaultProfile, FAULT_SALT};
 pub use kernel::{
     backward_layer_time, forward_layer_time, forward_layer_time_slowed, optimizer_layer_time,
 };
-pub use memory::{
-    inference_memory_bytes, inference_memory_bytes_compiled, training_memory_bytes,
-    training_memory_bytes_compiled,
-};
+pub use memory::{inference_memory_bytes, training_memory_bytes};
 pub use noise::NoiseModel;
 pub use precision::Precision;
 pub use runner::{
-    degraded_inference_time, degraded_inference_time_compiled, expected_inference_time,
-    expected_inference_time_compiled, measure_inference_faulted_from_expected, InferenceSample,
+    degraded_inference_time, expected_inference_time, measure_inference_faulted_from_expected,
+    InferenceSample,
 };
 pub use sweep::{
     inference_sweep, inference_sweep_faulted, training_sweep, training_sweep_faulted, SweepConfig,
 };
 pub use training::{
-    expected_training_phases, expected_training_phases_compiled,
-    measure_training_step_faulted_from_phases, measure_training_step_from_phases, TrainingPhases,
-    TrainingSample,
+    expected_training_phases, measure_training_step_faulted_from_phases,
+    measure_training_step_from_phases, TrainingPhases, TrainingSample,
 };

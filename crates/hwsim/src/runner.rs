@@ -4,7 +4,7 @@ use crate::device::DeviceProfile;
 use crate::fault::FaultModel;
 use crate::kernel::{forward_layer_time, forward_layer_time_slowed};
 use crate::noise::NoiseModel;
-use convmeter_metrics::{CompiledModel, ModelId, ModelMetrics};
+use convmeter_metrics::{ModelId, ModelMetrics};
 use serde::{Deserialize, Serialize};
 
 /// One measured inference data point.
@@ -36,26 +36,6 @@ pub fn expected_inference_time(
     kernels + device.base_overhead
 }
 
-/// [`expected_inference_time`] over a compiled cost table.
-///
-/// Runs the identical per-layer fold over the same [`LayerCost`] values the
-/// graph extraction produced (the compiled table stores them losslessly),
-/// so the result is bit-for-bit equal — without rebuilding any graph.
-///
-/// [`LayerCost`]: convmeter_metrics::LayerCost
-pub fn expected_inference_time_compiled(
-    device: &DeviceProfile,
-    model: &CompiledModel,
-    batch: usize,
-) -> f64 {
-    let kernels: f64 = model
-        .table
-        .rows()
-        .map(|c| forward_layer_time(device, &c, batch))
-        .sum();
-    kernels + device.base_overhead
-}
-
 /// Expected inference time under a compute-rate slowdown (fault injection's
 /// throttling windows). `slowdown = 1.0` matches
 /// [`expected_inference_time`] exactly.
@@ -73,21 +53,6 @@ pub fn degraded_inference_time(
     kernels + device.base_overhead
 }
 
-/// [`degraded_inference_time`] over a compiled cost table (bit-identical).
-pub fn degraded_inference_time_compiled(
-    device: &DeviceProfile,
-    model: &CompiledModel,
-    batch: usize,
-    slowdown: f64,
-) -> f64 {
-    let kernels: f64 = model
-        .table
-        .rows()
-        .map(|c| forward_layer_time_slowed(device, &c, batch, slowdown))
-        .sum();
-    kernels + device.base_overhead
-}
-
 /// A fault-injected inference measurement around an already-computed
 /// unfaulted expected time: the point may land in a slowdown window
 /// (throttled compute), be hit by a heavy-tailed straggler spike, or come
@@ -96,21 +61,21 @@ pub fn degraded_inference_time_compiled(
 ///
 /// Outside a slowdown window (`slowdown == 1.0`, the common case) the
 /// degraded fold is skipped entirely — throttling by `1.0` is bit-identical
-/// to the plain roofline — so a sweep point costs one table fold, not two.
+/// to the plain roofline — so a sweep point costs one per-node fold, not two.
 pub fn measure_inference_faulted_from_expected(
     device: &DeviceProfile,
-    model: &CompiledModel,
+    metrics: &ModelMetrics,
     batch: usize,
     expected: f64,
     noise: &mut NoiseModel,
     fault: &mut FaultModel,
 ) -> f64 {
     let slowdown = fault.compute_slowdown();
-    // analyzer:allow(CA0005, reason = "compute_slowdown returns the literal 1.0 outside a fault window; this is a sentinel check, not a float-arithmetic comparison, and a false negative only costs one redundant (still bit-identical) table fold")
+    // analyzer:allow(CA0005, reason = "compute_slowdown returns the literal 1.0 outside a fault window; this is a sentinel check, not a float-arithmetic comparison, and a false negative only costs one redundant (still bit-identical) per-node fold")
     let degraded = if slowdown == 1.0 {
         expected
     } else {
-        degraded_inference_time_compiled(device, model, batch, slowdown)
+        degraded_inference_time(device, metrics, batch, slowdown)
     };
     fault.corrupt(noise.jitter(degraded))
 }
@@ -178,22 +143,5 @@ mod tests {
         let small_img = expected_inference_time(&d, &metrics("resnet18", 64), 32);
         let big_img = expected_inference_time(&d, &metrics("resnet18", 224), 32);
         assert!(big_img > small_img);
-    }
-
-    #[test]
-    fn compiled_expectation_is_bit_identical() {
-        let d = DeviceProfile::a100_80gb();
-        for (name, size) in [("resnet18", 64), ("densenet121", 224), ("vgg16", 128)] {
-            let m = metrics(name, size);
-            let cm = CompiledModel::from_metrics(ModelId::intern(name), size, String::new(), &m);
-            for batch in [1, 8, 64, 512] {
-                let legacy = expected_inference_time(&d, &m, batch);
-                let compiled = expected_inference_time_compiled(&d, &cm, batch);
-                assert_eq!(legacy.to_bits(), compiled.to_bits());
-                let legacy = degraded_inference_time(&d, &m, batch, 1.7);
-                let compiled = degraded_inference_time_compiled(&d, &cm, batch, 1.7);
-                assert_eq!(legacy.to_bits(), compiled.to_bits());
-            }
-        }
     }
 }

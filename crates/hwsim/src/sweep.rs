@@ -1,9 +1,9 @@
 //! Benchmark sweep generation — the "collect < 5,000 data points" step of
-//! the paper, evaluated over compiled cost tables.
+//! the paper, evaluated over compiled models.
 //!
 //! Each `(model, image_size)` pair is compiled once per process (see
 //! [`crate::compile`]); the sweep then evaluates every batch size from the
-//! cached table — no graph rebuilds, no re-extraction, no per-point
+//! cached per-node costs — no graph rebuilds, no re-extraction, no per-point
 //! allocation. Point evaluation fans out over the order-preserving worker
 //! pool when [`crate::compile::set_sweep_jobs`] raises the worker count.
 //!
@@ -18,13 +18,13 @@ use crate::compile;
 use crate::device::DeviceProfile;
 use crate::error::SweepError;
 use crate::fault::{FaultModel, FaultProfile, FAULT_SALT};
-use crate::memory::{inference_memory_bytes_compiled, training_memory_bytes_compiled};
+use crate::memory::{inference_memory_bytes, training_memory_bytes};
 use crate::noise::NoiseModel;
 use crate::runner::{
-    expected_inference_time_compiled, measure_inference_faulted_from_expected, InferenceSample,
+    expected_inference_time, measure_inference_faulted_from_expected, InferenceSample,
 };
 use crate::training::{
-    expected_training_phases_compiled, measure_training_step_faulted_from_phases,
+    expected_training_phases, measure_training_step_faulted_from_phases,
     measure_training_step_from_phases, TrainingSample,
 };
 use convmeter_metrics::{obs, CompiledModel};
@@ -173,7 +173,7 @@ fn compiled_grid(config: &SweepConfig) -> Result<Vec<Arc<CompiledModel>>, SweepE
 }
 
 /// Evaluate one point-generator per grid pair across the ordered worker
-/// pool and flatten in grid order. Workers only fold cached cost tables;
+/// pool and flatten in grid order. Workers only fold cached per-node costs;
 /// any span they did open would nest under the caller's (pool workers adopt
 /// the caller's span path), and per-point seeding makes the output
 /// independent of scheduling.
@@ -197,13 +197,13 @@ fn inference_points(
         .iter()
         .filter_map(|&batch| {
             if config.respect_memory
-                && inference_memory_bytes_compiled(cm, batch) > device.memory_capacity
+                && inference_memory_bytes(&cm.metrics, batch) > device.memory_capacity
             {
                 return None;
             }
-            // One table fold per point: the cap check and the measurement
+            // One per-node fold per point: the cap check and the measurement
             // share the expected time.
-            let expected = expected_inference_time_compiled(device, cm, batch);
+            let expected = expected_inference_time(device, &cm.metrics, batch);
             if let Some(cap) = config.max_point_time {
                 if expected > cap {
                     return None;
@@ -216,7 +216,12 @@ fn inference_points(
                 Some(profile) => {
                     let mut fault = FaultModel::new(profile, seed ^ FAULT_SALT);
                     measure_inference_faulted_from_expected(
-                        device, cm, batch, expected, &mut noise, &mut fault,
+                        device,
+                        &cm.metrics,
+                        batch,
+                        expected,
+                        &mut noise,
+                        &mut fault,
                     )
                 }
             };
@@ -241,13 +246,13 @@ fn training_points(
         .iter()
         .filter_map(|&batch| {
             if config.respect_memory
-                && training_memory_bytes_compiled(cm, batch) > device.memory_capacity
+                && training_memory_bytes(&cm.metrics, batch) > device.memory_capacity
             {
                 return None;
             }
-            // One table fold per point: the cap check and the measurement
+            // One per-node fold per point: the cap check and the measurement
             // share the expected phases.
-            let expected = expected_training_phases_compiled(device, cm, batch);
+            let expected = expected_training_phases(device, &cm.metrics, batch);
             if let Some(cap) = config.max_point_time {
                 if expected.total() > cap {
                     return None;

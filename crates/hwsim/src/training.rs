@@ -5,7 +5,7 @@ use crate::device::DeviceProfile;
 use crate::fault::FaultModel;
 use crate::kernel::{backward_layer_time, forward_layer_time, optimizer_layer_time};
 use crate::noise::NoiseModel;
-use convmeter_metrics::{CompiledModel, ModelId, ModelMetrics};
+use convmeter_metrics::{ModelId, ModelMetrics};
 use serde::{Deserialize, Serialize};
 
 /// The three phases of one training step on one device.
@@ -78,47 +78,11 @@ pub fn expected_training_phases(
     }
 }
 
-/// [`expected_training_phases`] over a compiled cost table (bit-identical
-/// per-phase sums over the same [`LayerCost`] values).
-///
-/// [`LayerCost`]: convmeter_metrics::LayerCost
-pub fn expected_training_phases_compiled(
-    device: &DeviceProfile,
-    model: &CompiledModel,
-    batch: usize,
-) -> TrainingPhases {
-    const AUTOGRAD_OVERHEAD: f64 = 1.08;
-    let forward: f64 = model
-        .table
-        .rows()
-        .map(|c| forward_layer_time(device, &c, batch))
-        .sum::<f64>()
-        * AUTOGRAD_OVERHEAD
-        + device.base_overhead;
-    let backward: f64 = model
-        .table
-        .rows()
-        .map(|c| backward_layer_time(device, &c, batch))
-        .sum::<f64>()
-        + device.base_overhead;
-    let grad_update: f64 = model
-        .table
-        .rows()
-        .map(|c| optimizer_layer_time(device, &c))
-        .sum::<f64>()
-        + device.base_overhead;
-    TrainingPhases {
-        forward,
-        backward,
-        grad_update,
-    }
-}
-
 /// One noisy training-step measurement around already-computed expected
 /// phases; each phase jitters independently, as phase timers in a real
 /// harness would.
 ///
-/// Sweeps fold the cost table once per point and reuse the phases for both
+/// Sweeps fold the per-node costs once per point and reuse the phases for both
 /// the point-time cap check and the measurement; this is that second half.
 pub fn measure_training_step_from_phases(
     expected: &TrainingPhases,
@@ -133,7 +97,7 @@ pub fn measure_training_step_from_phases(
 
 /// A fault-injected training-step measurement around already-computed
 /// expected phases: a slowdown window throttles all compute phases (it
-/// scales the precomputed phase sums, so no second table fold is needed),
+/// scales the precomputed phase sums, so no second per-node fold is needed),
 /// one straggler spike stretches the whole step (the phase timers all see
 /// the same straggling device), and corruption NaNs every phase (the
 /// harness lost the sample).
@@ -211,22 +175,6 @@ mod tests {
         let d = DeviceProfile::a100_80gb();
         let p = expected_training_phases(&d, &metrics("resnet50", 224), 128);
         assert!(p.total() > 0.03 && p.total() < 1.0, "step {} s", p.total());
-    }
-
-    #[test]
-    fn compiled_phases_are_bit_identical() {
-        let d = DeviceProfile::a100_80gb();
-        for (name, size) in [("resnet18", 64), ("mobilenet_v2", 128)] {
-            let m = metrics(name, size);
-            let cm = CompiledModel::from_metrics(ModelId::intern(name), size, String::new(), &m);
-            for batch in [1, 32, 256] {
-                let legacy = expected_training_phases(&d, &m, batch);
-                let compiled = expected_training_phases_compiled(&d, &cm, batch);
-                assert_eq!(legacy.forward.to_bits(), compiled.forward.to_bits());
-                assert_eq!(legacy.backward.to_bits(), compiled.backward.to_bits());
-                assert_eq!(legacy.grad_update.to_bits(), compiled.grad_update.to_bits());
-            }
-        }
     }
 
     #[test]

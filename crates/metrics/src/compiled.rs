@@ -1,4 +1,4 @@
-//! The compiled cost model: an arena/SoA lowering of a graph.
+//! The compiled cost model: one (model, image size) point, extracted once.
 //!
 //! The paper extracts metrics **once at batch 1** and scales them
 //! analytically; this module makes that structural. [`CompiledModel`] is
@@ -6,120 +6,25 @@
 //! simulators and dataset builders need to evaluate *any* batch size with
 //! no further graph work:
 //!
-//! * a batch-1 [`CostTable`] — the per-node [`LayerCost`] rows lowered to
-//!   flat columns (struct-of-arrays) in topological order, cache-friendly
-//!   to walk and cheap to slice;
-//! * the aggregate batch-1 metrics (`F`, `I`, `O`, `W`, `L`, peak-live),
-//!   scaled to a batch with the same closed-form law as
-//!   [`ModelMetrics::at_batch`];
+//! * the batch-1 [`ModelMetrics`] — the aggregates (`F`, `I`, `O`, `W`,
+//!   `L`, peak-live) that [`ModelMetrics::at_batch`] scales to a batch, and
+//!   the per-node [`LayerCost`] rows in topological order that the kernel
+//!   model folds;
 //! * the graph's structural fingerprint (composed bottom-up from per-node
 //!   digests, see `convmeter_graph::fingerprint`), so cache keys over many
 //!   sweep points reuse one hash instead of rehashing the graph; and
 //! * the interned [`ModelId`], so downstream samples are `Copy` and sweep
 //!   emission stops cloning names per point.
 //!
-//! Compilation is *lowering*, not re-derivation: the table rows are exactly
-//! the `LayerCost` values of [`ModelMetrics::of`], so every kernel-model
-//! evaluation over the table is bit-identical to the legacy per-`Node`
-//! path (the equivalence suite in `tests/` asserts this zoo-wide).
+//! [`LayerCost`]: crate::LayerCost
 
-use crate::flops::LayerCost;
 use crate::ident::ModelId;
-use crate::model::{BatchMetrics, ModelMetrics};
+use crate::model::ModelMetrics;
 use convmeter_graph::{Graph, GraphError};
 
-/// Per-node batch-1 cost columns in topological order (struct-of-arrays).
-///
-/// Rows reassemble to the exact [`LayerCost`] values extraction produced;
-/// columns exist so hot evaluation loops touch only the fields they need.
-#[derive(Debug, Clone, Default)]
-pub struct CostTable {
-    /// FLOPs per node (batch 1).
-    pub flops: Vec<u64>,
-    /// Multiply-accumulates per node (batch 1).
-    pub macs: Vec<u64>,
-    /// Input elements per node (batch 1).
-    pub input_elements: Vec<u64>,
-    /// Output elements per node (batch 1).
-    pub output_elements: Vec<u64>,
-    /// Parameter elements per node (batch-independent).
-    pub param_elements: Vec<u64>,
-    /// Convolution flag per node.
-    pub is_conv: Vec<bool>,
-    /// Trainable flag per node.
-    pub is_trainable: Vec<bool>,
-    /// Pure-view flag per node (launches no kernel).
-    pub is_view: Vec<bool>,
-    /// Token-compute flag per node.
-    pub is_token_op: Vec<bool>,
-}
-
-impl CostTable {
-    /// Lower per-node cost rows into columns.
-    pub fn from_rows(rows: &[LayerCost]) -> Self {
-        let mut t = CostTable {
-            flops: Vec::with_capacity(rows.len()),
-            macs: Vec::with_capacity(rows.len()),
-            input_elements: Vec::with_capacity(rows.len()),
-            output_elements: Vec::with_capacity(rows.len()),
-            param_elements: Vec::with_capacity(rows.len()),
-            is_conv: Vec::with_capacity(rows.len()),
-            is_trainable: Vec::with_capacity(rows.len()),
-            is_view: Vec::with_capacity(rows.len()),
-            is_token_op: Vec::with_capacity(rows.len()),
-        };
-        for c in rows {
-            t.flops.push(c.flops);
-            t.macs.push(c.macs);
-            t.input_elements.push(c.input_elements);
-            t.output_elements.push(c.output_elements);
-            t.param_elements.push(c.param_elements);
-            t.is_conv.push(c.is_conv);
-            t.is_trainable.push(c.is_trainable);
-            t.is_view.push(c.is_view);
-            t.is_token_op.push(c.is_token_op);
-        }
-        t
-    }
-
-    /// Number of nodes in the table.
-    pub fn len(&self) -> usize {
-        self.flops.len()
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.flops.is_empty()
-    }
-
-    /// Reassemble the cost rows in topological order. Each yielded
-    /// [`LayerCost`] is bit-identical to the extraction-time row, so
-    /// feeding these to the kernel model reproduces the legacy per-node
-    /// evaluation exactly.
-    pub fn rows(&self) -> impl Iterator<Item = LayerCost> + '_ {
-        (0..self.len()).map(move |i| self.row(i))
-    }
-
-    /// Reassemble one cost row. Out-of-range indices yield a zero row
-    /// (total, never panics; real callers iterate via [`CostTable::rows`]).
-    pub fn row(&self, i: usize) -> LayerCost {
-        LayerCost {
-            flops: self.flops.get(i).copied().unwrap_or_default(),
-            macs: self.macs.get(i).copied().unwrap_or_default(),
-            input_elements: self.input_elements.get(i).copied().unwrap_or_default(),
-            output_elements: self.output_elements.get(i).copied().unwrap_or_default(),
-            param_elements: self.param_elements.get(i).copied().unwrap_or_default(),
-            is_conv: self.is_conv.get(i).copied().unwrap_or_default(),
-            is_trainable: self.is_trainable.get(i).copied().unwrap_or_default(),
-            is_view: self.is_view.get(i).copied().unwrap_or_default(),
-            is_token_op: self.is_token_op.get(i).copied().unwrap_or_default(),
-        }
-    }
-}
-
 /// A model compiled for prediction at one (model, image size) point:
-/// batch-1 aggregates + SoA cost table + structural fingerprint + interned
-/// id. Built once, evaluated at every batch size.
+/// batch-1 metrics + structural fingerprint + interned id. Built once,
+/// evaluated at every batch size.
 #[derive(Debug, Clone)]
 pub struct CompiledModel {
     /// Interned model name.
@@ -130,101 +35,25 @@ pub struct CompiledModel {
     /// bottom-up from per-node digests; cache keys reuse this instead of
     /// rehashing the graph per sweep point.
     pub fingerprint: String,
-    /// `F` at batch 1.
-    pub flops: u64,
-    /// `I` (conv input elements) at batch 1.
-    pub conv_inputs: u64,
-    /// `O` (conv output elements) at batch 1.
-    pub conv_outputs: u64,
-    /// Token-op input elements at batch 1.
-    pub token_inputs: u64,
-    /// Token-op output elements at batch 1.
-    pub token_outputs: u64,
-    /// `W`: trainable parameter count.
-    pub weights: u64,
-    /// `L`: parameterised layer count.
-    pub trainable_layers: usize,
-    /// Total node count, including view ops.
-    pub node_count: usize,
-    /// Peak simultaneously-live activation elements at batch 1.
-    pub peak_live_elements: u64,
-    /// The batch-1 cost table.
-    pub table: CostTable,
+    /// The batch-1 metrics and per-node cost rows.
+    pub metrics: ModelMetrics,
 }
 
 impl CompiledModel {
     /// Compile a graph: run extraction once (shape inference + per-node
-    /// costs, the `metrics.extract` step) and lower the result. The
-    /// `compile.model` span wraps the whole lowering so profiles can
+    /// costs, the `metrics.extract` step) and fingerprint it. The
+    /// `compile.model` span wraps the whole compilation so profiles can
     /// attribute it.
     pub fn compile(id: ModelId, image_size: usize, graph: &Graph) -> Result<Self, GraphError> {
         let _span = convmeter_obs::span!("compile.model");
         convmeter_obs::counter!("compile.models").inc();
         let metrics = ModelMetrics::of(graph)?;
-        let fingerprint = graph.fingerprint();
-        Ok(Self::from_metrics(id, image_size, fingerprint, &metrics))
-    }
-
-    /// Lower already-extracted metrics (no graph work; used by compilation
-    /// and by tests that compare against a legacy extraction).
-    pub fn from_metrics(
-        id: ModelId,
-        image_size: usize,
-        fingerprint: String,
-        metrics: &ModelMetrics,
-    ) -> Self {
-        CompiledModel {
+        Ok(CompiledModel {
             id,
             image_size,
-            fingerprint,
-            flops: metrics.flops,
-            conv_inputs: metrics.conv_inputs,
-            conv_outputs: metrics.conv_outputs,
-            token_inputs: metrics.token_inputs,
-            token_outputs: metrics.token_outputs,
-            weights: metrics.weights,
-            trainable_layers: metrics.trainable_layers,
-            node_count: metrics.node_count,
-            peak_live_elements: metrics.peak_live_elements,
-            table: CostTable::from_rows(&metrics.per_node),
-        }
-    }
-
-    /// The closed-form batch-scaling law: identical arithmetic to
-    /// [`ModelMetrics::at_batch`], so the feature vectors match the legacy
-    /// path bit-for-bit.
-    pub fn at_batch(&self, batch: usize) -> BatchMetrics {
-        let b = batch as u64;
-        BatchMetrics {
-            batch,
-            flops: self.flops * b,
-            conv_inputs: self.conv_inputs * b,
-            conv_outputs: self.conv_outputs * b,
-            token_inputs: self.token_inputs * b,
-            token_outputs: self.token_outputs * b,
-            weights: self.weights,
-            trainable_layers: self.trainable_layers,
-        }
-    }
-
-    /// Reassemble a legacy [`ModelMetrics`] (owned name + row-major cost
-    /// vector). Used at the boundary to APIs that still take
-    /// `&ModelMetrics` (distributed step simulation, the metrics cache);
-    /// called once per (model, image), never per point.
-    pub fn to_metrics(&self) -> ModelMetrics {
-        ModelMetrics {
-            name: self.id.as_str().to_string(),
-            flops: self.flops,
-            conv_inputs: self.conv_inputs,
-            conv_outputs: self.conv_outputs,
-            token_inputs: self.token_inputs,
-            token_outputs: self.token_outputs,
-            weights: self.weights,
-            trainable_layers: self.trainable_layers,
-            node_count: self.node_count,
-            peak_live_elements: self.peak_live_elements,
-            per_node: self.table.rows().collect(),
-        }
+            fingerprint: graph.fingerprint(),
+            metrics,
+        })
     }
 }
 
@@ -243,32 +72,6 @@ mod tests {
     }
 
     #[test]
-    fn lowering_round_trips_bit_for_bit() {
-        let g = toy();
-        let legacy = ModelMetrics::of(&g).unwrap();
-        let compiled = CompiledModel::compile(ModelId::intern("toy"), 32, &g).unwrap();
-        assert_eq!(compiled.table.len(), legacy.per_node.len());
-        for (row, want) in compiled.table.rows().zip(&legacy.per_node) {
-            assert_eq!(&row, want);
-        }
-        let back = compiled.to_metrics();
-        assert_eq!(back.name, legacy.name);
-        assert_eq!(back.flops, legacy.flops);
-        assert_eq!(back.per_node, legacy.per_node);
-        assert_eq!(back.peak_live_elements, legacy.peak_live_elements);
-    }
-
-    #[test]
-    fn batch_scaling_matches_legacy() {
-        let g = toy();
-        let legacy = ModelMetrics::of(&g).unwrap();
-        let compiled = CompiledModel::compile(ModelId::intern("toy"), 32, &g).unwrap();
-        for batch in [1, 2, 8, 64, 1024] {
-            assert_eq!(compiled.at_batch(batch), legacy.at_batch(batch));
-        }
-    }
-
-    #[test]
     fn fingerprint_matches_graph() {
         let g = toy();
         let compiled = CompiledModel::compile(ModelId::intern("toy"), 32, &g).unwrap();
@@ -280,14 +83,5 @@ mod tests {
         let mut b = GraphBuilder::new("bad", Shape::image(3, 32));
         b.conv_bn(4, 8, 3, 1, 1);
         assert!(CompiledModel::compile(ModelId::intern("bad"), 32, &b.finish()).is_err());
-    }
-
-    #[test]
-    fn out_of_range_row_is_zero() {
-        let t = CostTable::default();
-        let row = t.row(7);
-        assert_eq!(row.flops, 0);
-        assert!(!row.is_conv);
-        assert!(t.is_empty());
     }
 }

@@ -25,7 +25,7 @@ pub mod flops;
 pub mod ident;
 pub mod model;
 
-pub use compiled::{CompiledModel, CostTable};
+pub use compiled::CompiledModel;
 pub use flops::{
     layer_flops, layer_macs, try_layer_flops, try_layer_macs, CostOverflow, LayerCost,
 };

@@ -132,15 +132,6 @@ impl ModelMetrics {
             trainable_layers: costs.iter().filter(|c| c.is_trainable).count(),
         }
     }
-
-    /// Total FP32 activation + parameter traffic in bytes at batch 1 —
-    /// a rough memory-footprint proxy used by the simulator's OOM model.
-    pub fn traffic_bytes(&self) -> u64 {
-        self.per_node
-            .iter()
-            .map(|c| c.bytes_read() + c.bytes_written())
-            .sum()
-    }
 }
 
 /// Cold error constructor for the extraction loop: allocates the node name
@@ -275,11 +266,5 @@ mod tests {
         let total: u64 = m.per_node.iter().map(|c| c.output_elements).sum();
         assert!(m.peak_live_elements >= largest);
         assert!(m.peak_live_elements <= total + 3 * 1024);
-    }
-
-    #[test]
-    fn traffic_bytes_positive() {
-        let m = ModelMetrics::of(&toy()).unwrap();
-        assert!(m.traffic_bytes() > 4 * (m.conv_inputs + m.conv_outputs));
     }
 }
