@@ -34,8 +34,7 @@ pub struct CallGraphStats {
 }
 
 /// One analysed file: the lexed source plus its parsed items. Built per
-/// file (cheaply parallelisable), combined by the workspace passes.
-#[derive(serde::Serialize, serde::Deserialize)]
+/// file, combined by the workspace passes.
 pub struct FileAnalysis {
     /// Lexed and allow-annotated source.
     pub file: SourceFile,
@@ -44,8 +43,7 @@ pub struct FileAnalysis {
 }
 
 impl FileAnalysis {
-    /// Lex and parse one file. This is the per-file phase the CLI fans out
-    /// across the engine pool; it depends on nothing but the file itself.
+    /// Lex and parse one file; it depends on nothing but the file itself.
     #[must_use]
     pub fn parse(path: &str, content: &str) -> FileAnalysis {
         let file = SourceFile::parse(path, content);

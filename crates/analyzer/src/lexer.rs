@@ -9,7 +9,7 @@
 //! token carries its 1-based source line.
 
 /// What a token is, at the granularity the rules need.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TokenKind {
     /// Identifier or keyword (`fn`, `HashMap`, `unwrap`, ...).
     Ident,
@@ -26,7 +26,7 @@ pub enum TokenKind {
 }
 
 /// One lexed token: kind, verbatim text, and 1-based starting line.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Token {
     /// Classification used by the rules.
     pub kind: TokenKind,

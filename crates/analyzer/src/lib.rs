@@ -35,8 +35,7 @@
 //! | CP0005 | no lock acquisition inside a hot loop |
 //!
 //! "Hot" is seeded by `span!` instrumentation and propagated transitively
-//! over the call graph; the CP family runs only under
-//! [`AnalysisOptions::perf`].
+//! over the call graph. Every run checks every rule above.
 //!
 //! Findings are suppressed site-by-site with an inline `analyzer:allow`
 //! comment naming the CA/CP code — the justifying reason is mandatory,
@@ -51,14 +50,12 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 pub mod budget;
-pub mod cache;
 pub mod callgraph;
 pub mod dataflow;
 pub mod lexer;
 pub mod locks;
 pub mod parser;
 pub mod rules;
-pub mod sarif;
 pub mod source;
 pub mod symbols;
 pub mod taint;
@@ -69,8 +66,8 @@ use source::SourceFile;
 /// One diagnostic: a rule violation at a source location.
 #[derive(Debug, Clone, Serialize)]
 pub struct Finding {
-    /// Stable rule code (`CA0001`..`CA0007`, `CP0001`..`CP0005` under
-    /// `--perf`, `CA0000` for broken allows).
+    /// Stable rule code (`CA0001`..`CA0007`, `CDxxxx`, `CBxxxx`,
+    /// `CP0001`..`CP0005`, `CA0000` for broken allows).
     pub code: String,
     /// Workspace-relative file path.
     pub path: String,
@@ -89,13 +86,6 @@ impl Finding {
             message,
         }
     }
-}
-
-/// What to analyze beyond the always-on determinism rules.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AnalysisOptions {
-    /// Run the CP hot-path performance family (CP0001–CP0005).
-    pub perf: bool,
 }
 
 /// Result of one analysis run.
@@ -229,33 +219,24 @@ impl std::error::Error for AnalyzeError {
 
 /// Analyze in-memory sources: `(workspace-relative path, content)` pairs.
 /// This is the core the fixture tests drive; [`analyze_workspace`] is the
-/// filesystem front-end. Runs the always-on rules only (no CP family).
+/// filesystem front-end. Each file is lexed and parsed on its own, then the
+/// symbol index, call graph, rules and suppressions run over all of them.
 #[must_use]
 pub fn analyze_files(files: &[(String, String)]) -> Report {
     let parsed: Vec<FileAnalysis> = files
         .iter()
         .map(|(path, content)| FileAnalysis::parse(path, content))
         .collect();
-    analyze_parsed(&parsed, AnalysisOptions::default())
-}
-
-/// Analyze already-parsed files. The per-file parse
-/// ([`FileAnalysis::parse`]) is embarrassingly parallel; this combining
-/// pass — symbol index, call graph, rules, suppression — is sequential and
-/// deterministic, so callers may fan the parse out across threads and feed
-/// the results here in path order.
-#[must_use]
-pub fn analyze_parsed(parsed: &[FileAnalysis], opts: AnalysisOptions) -> Report {
     let mut structs = StructIndex::default();
-    for fa in parsed {
+    for fa in &parsed {
         for (name, fields) in rules::struct_fields(&fa.file) {
             structs.record(fa.file.crate_name(), &name, fields);
         }
     }
-    let graph = CallGraph::build(parsed);
+    let graph = CallGraph::build(&parsed);
 
     let mut raw = Vec::new();
-    for fa in parsed {
+    for fa in &parsed {
         let file = &fa.file;
         for malformed in &file.malformed_allows {
             raw.push(Finding::new(
@@ -275,12 +256,10 @@ pub fn analyze_parsed(parsed: &[FileAnalysis], opts: AnalysisOptions) -> Report 
         rules::ca0005(file, &mut raw);
         rules::ca0006(file, &structs, &mut raw);
     }
-    rules::ca0007(parsed, &graph, &mut raw);
-    taint::cd_rules(parsed, &mut raw);
-    locks::cb_rules(parsed, &mut raw);
-    if opts.perf {
-        rules::cp_rules(parsed, &graph, &mut raw);
-    }
+    rules::ca0007(&parsed, &graph, &mut raw);
+    taint::cd_rules(&parsed, &mut raw);
+    locks::cb_rules(&parsed, &mut raw);
+    rules::cp_rules(&parsed, &graph, &mut raw);
 
     let by_path: BTreeMap<&str, &SourceFile> = parsed
         .iter()
@@ -314,29 +293,18 @@ pub fn analyze_parsed(parsed: &[FileAnalysis], opts: AnalysisOptions) -> Report 
     }
 }
 
-/// Analyze the workspace rooted at `root` with the always-on rule set.
-pub fn analyze_workspace(root: &Path) -> Result<Report, AnalyzeError> {
-    analyze_workspace_opts(root, AnalysisOptions::default())
-}
-
 /// Analyze the workspace rooted at `root`: every `.rs` file under
 /// `crates/*/src` plus the root crate's `src/`. Test directories,
 /// `third_party/` shims, and build output are out of scope by
 /// construction; `#[cfg(test)]` regions inside library files are excluded
 /// per rule.
-pub fn analyze_workspace_opts(root: &Path, opts: AnalysisOptions) -> Result<Report, AnalyzeError> {
-    let files = workspace_files(root)?;
-    let parsed: Vec<FileAnalysis> = files
-        .iter()
-        .map(|(path, content)| FileAnalysis::parse(path, content))
-        .collect();
-    Ok(analyze_parsed(&parsed, opts))
+pub fn analyze_workspace(root: &Path) -> Result<Report, AnalyzeError> {
+    Ok(analyze_files(&workspace_files(root)?))
 }
 
-/// Gather the workspace's in-scope sources as `(relative path, content)`
-/// pairs, sorted by path. Exposed so the CLI can parallelise the per-file
-/// parse over the engine pool and then call [`analyze_parsed`].
-pub fn workspace_files(root: &Path) -> Result<Vec<(String, String)>, AnalyzeError> {
+/// The workspace's in-scope sources as `(relative path, content)` pairs,
+/// sorted by path.
+fn workspace_files(root: &Path) -> Result<Vec<(String, String)>, AnalyzeError> {
     let crates_dir = root.join("crates");
     if !crates_dir.is_dir() {
         return Err(AnalyzeError::NotAWorkspace {

@@ -10,10 +10,9 @@
 //! simply yields fewer items, which is the honest behaviour for a linter.
 
 use crate::lexer::{Token, TokenKind};
-use serde::{Deserialize, Serialize};
 
 /// One syntactic call site inside a function body.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CallSite {
     /// 1-based line of the callee name.
     pub line: u32,
@@ -38,7 +37,7 @@ pub struct CallSite {
 }
 
 /// One macro invocation (`name!(..)`) inside a function body.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MacroUse {
     /// 1-based line of the macro name.
     pub line: u32,
@@ -49,7 +48,7 @@ pub struct MacroUse {
 }
 
 /// One parsed `fn` item.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FnDef {
     /// Bare function name.
     pub name: String,
@@ -100,7 +99,7 @@ impl FnDef {
 
 /// The parsed structure of one file: the comment-free token indices and
 /// every `fn` item found in them.
-#[derive(Debug, Default, Serialize, Deserialize)]
+#[derive(Debug, Default)]
 pub struct ParsedFile {
     /// Indices into the file's full token stream, comments removed. All
     /// `FnDef` positions refer to this vector ("code-token indices").

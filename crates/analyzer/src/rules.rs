@@ -888,8 +888,8 @@ fn cp0004(fa: &FileAnalysis, f: &FnDef, toks: &[&Token], out: &mut Vec<Finding>)
     }
 }
 
-/// The CP hot-path performance family (CP0001–CP0005), run only under
-/// `--perf` and only over functions the call graph marks hot.
+/// The CP hot-path performance family (CP0001–CP0005), run only over
+/// functions the call graph marks hot.
 pub fn cp_rules(files: &[FileAnalysis], graph: &CallGraph, out: &mut Vec<Finding>) {
     for n in 0..graph.ids.len() {
         if !graph.hot[n] {

@@ -7,7 +7,7 @@ use std::collections::BTreeMap;
 
 /// A parsed `analyzer:allow` directive: a CA code plus a mandatory
 /// double-quoted reason, in parentheses after the marker.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Allow {
     /// The CA code being suppressed (e.g. `"CA0004"`).
     pub code: String,
@@ -20,7 +20,7 @@ pub struct Allow {
 /// A directive that looked like an allow but failed to parse. Surfaced as
 /// a `CA0000` finding: a suppression that silently fails to suppress is
 /// worse than either a clean pass or an honest diagnostic.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MalformedAllow {
     /// 1-based line of the broken directive.
     pub line: u32,
@@ -29,10 +29,6 @@ pub struct MalformedAllow {
 }
 
 /// One source file, lexed and annotated for rule evaluation.
-///
-/// Serialisation (for the parse cache) flattens `allows` to a plain list —
-/// each [`Allow`] carries its own line, so the line-keyed map is
-/// reconstructed losslessly on load.
 pub struct SourceFile {
     /// Workspace-relative path, `/`-separated.
     pub path: String,
@@ -120,53 +116,6 @@ impl SourceFile {
             }
         }
         false
-    }
-
-    /// Every well-formed allow directive in the file, in line order.
-    pub fn all_allows(&self) -> impl Iterator<Item = &Allow> {
-        self.allows.values().flatten()
-    }
-}
-
-// Hand-written parse-cache serialisation: the serde shim only deserialises
-// string-keyed maps, so the line-keyed `allows` map travels as a flat list
-// and is regrouped by each directive's own `line` on load.
-impl serde::Serialize for SourceFile {
-    fn to_value(&self) -> serde::value::Value {
-        let allows: Vec<Allow> = self.allows.values().flatten().cloned().collect();
-        serde::value::Value::Object(vec![
-            (serde::value::Key::from("path"), self.path.to_value()),
-            (serde::value::Key::from("tokens"), self.tokens.to_value()),
-            (
-                serde::value::Key::from("test_regions"),
-                self.test_regions.to_value(),
-            ),
-            (serde::value::Key::from("allows"), allows.to_value()),
-            (
-                serde::value::Key::from("malformed_allows"),
-                self.malformed_allows.to_value(),
-            ),
-        ])
-    }
-}
-
-impl serde::Deserialize for SourceFile {
-    fn from_value(v: &serde::value::Value) -> Result<Self, serde::de::Error> {
-        let Some(pairs) = v.as_object() else {
-            return Err(serde::de::Error::custom("SourceFile: expected an object"));
-        };
-        let flat: Vec<Allow> = serde::de::field(pairs, "allows")?;
-        let mut allows: BTreeMap<u32, Vec<Allow>> = BTreeMap::new();
-        for a in flat {
-            allows.entry(a.line).or_default().push(a);
-        }
-        Ok(SourceFile {
-            path: serde::de::field(pairs, "path")?,
-            tokens: serde::de::field(pairs, "tokens")?,
-            test_regions: serde::de::field(pairs, "test_regions")?,
-            allows,
-            malformed_allows: serde::de::field(pairs, "malformed_allows")?,
-        })
     }
 }
 

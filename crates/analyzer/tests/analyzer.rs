@@ -1,4 +1,4 @@
-//! Fixture corpus for the CA rules plus the self-check: the workspace that
+//! Fixture corpus for the analyzer's rules plus the self-check: the workspace that
 //! ships the analyzer must itself analyze clean.
 //!
 //! Each fixture under `tests/fixtures/` is a minimal source file designed
@@ -6,20 +6,11 @@
 //! through [`analyze_files`] with a synthetic workspace-relative path,
 //! because several rules key off the path (module stem, crate name).
 
-use convmeter_analyzer::{
-    analyze_files, analyze_parsed, analyze_workspace, analyze_workspace_opts, AnalysisOptions,
-    FileAnalysis, Report,
-};
+use convmeter_analyzer::{analyze_files, analyze_workspace, Report};
 use std::path::Path;
 
 fn analyze_one(path: &str, content: &str) -> Report {
     analyze_files(&[(path.to_string(), content.to_string())])
-}
-
-/// Like [`analyze_one`] but with the CP hot-path rules switched on.
-fn analyze_one_perf(path: &str, content: &str) -> Report {
-    let parsed = vec![FileAnalysis::parse(path, content)];
-    analyze_parsed(&parsed, AnalysisOptions { perf: true })
 }
 
 /// Assert every finding carries `code` and that there is at least one.
@@ -258,20 +249,16 @@ fn ca0007_app_aborts_reachable_from_public_api() {
 #[test]
 fn cp0001_alloc_in_hot_loop() {
     let fixture = include_str!("fixtures/cp0001_alloc_in_loop.rs");
-    let report = analyze_one_perf("crates/fake/src/lib.rs", fixture);
+    let report = analyze_one("crates/fake/src/lib.rs", fixture);
     assert_all(&report, "CP0001");
     assert_eq!(report.findings.len(), 1, "{}", report.to_text());
     assert_eq!(report.findings[0].line, 7);
-
-    // Negative: without --perf the CP family stays off.
-    let ca_only = analyze_one("crates/fake/src/lib.rs", fixture);
-    assert!(ca_only.findings.is_empty(), "{}", ca_only.to_text());
 }
 
 #[test]
 fn cp0002_clone_in_hot_loop() {
     let fixture = include_str!("fixtures/cp0002_clone_in_loop.rs");
-    let report = analyze_one_perf("crates/fake/src/lib.rs", fixture);
+    let report = analyze_one("crates/fake/src/lib.rs", fixture);
     assert_all(&report, "CP0002");
     assert_eq!(report.findings.len(), 1, "{}", report.to_text());
     assert_eq!(report.findings[0].line, 7);
@@ -280,7 +267,7 @@ fn cp0002_clone_in_hot_loop() {
 #[test]
 fn cp0003_collect_in_hot_loop() {
     let fixture = include_str!("fixtures/cp0003_collect_in_loop.rs");
-    let report = analyze_one_perf("crates/fake/src/lib.rs", fixture);
+    let report = analyze_one("crates/fake/src/lib.rs", fixture);
     assert_all(&report, "CP0003");
     assert_eq!(report.findings.len(), 1, "{}", report.to_text());
     assert_eq!(report.findings[0].line, 7);
@@ -289,7 +276,7 @@ fn cp0003_collect_in_hot_loop() {
 #[test]
 fn cp0004_push_growth_without_reserve() {
     let fixture = include_str!("fixtures/cp0004_push_without_reserve.rs");
-    let report = analyze_one_perf("crates/fake/src/lib.rs", fixture);
+    let report = analyze_one("crates/fake/src/lib.rs", fixture);
     assert_all(&report, "CP0004");
     assert_eq!(report.findings.len(), 1, "{}", report.to_text());
     assert_eq!(
@@ -301,7 +288,7 @@ fn cp0004_push_growth_without_reserve() {
 #[test]
 fn cp0005_lock_in_hot_loop() {
     let fixture = include_str!("fixtures/cp0005_lock_in_loop.rs");
-    let report = analyze_one_perf("crates/fake/src/lib.rs", fixture);
+    let report = analyze_one("crates/fake/src/lib.rs", fixture);
     assert_all(&report, "CP0005");
     assert_eq!(report.findings.len(), 1, "{}", report.to_text());
     assert_eq!(report.findings[0].line, 8);
@@ -323,21 +310,6 @@ fn workspace_analyzes_clean() {
         report.files_scanned > 100,
         "suspiciously few files scanned: {}",
         report.files_scanned
-    );
-}
-
-#[test]
-fn workspace_analyzes_clean_with_perf_rules() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .canonicalize()
-        .expect("workspace root resolves");
-    let report = analyze_workspace_opts(&root, AnalysisOptions { perf: true })
-        .expect("workspace analysis runs");
-    assert!(
-        report.is_clean(),
-        "the workspace must analyze clean under --perf:\n{}",
-        report.to_text()
     );
     assert!(
         report.call_graph.hot_functions > 0,

@@ -29,6 +29,8 @@ pub enum ArgError {
     },
     /// A required positional argument was absent.
     MissingPositional(&'static str),
+    /// An option or switch that the command does not read.
+    Unknown(String),
 }
 
 impl std::fmt::Display for ArgError {
@@ -46,6 +48,7 @@ impl std::fmt::Display for ArgError {
             ArgError::MissingPositional(name) => {
                 write!(f, "missing required argument <{name}>")
             }
+            ArgError::Unknown(o) => write!(f, "unknown option --{o}"),
         }
     }
 }
@@ -55,25 +58,30 @@ impl std::error::Error for ArgError {}
 /// Option names that are boolean switches (take no value).
 const SWITCHES: &[&str] = &[
     "quick",
-    "help",
     "json",
     "list",
     "no-cache",
     "keep-going",
-    "perf",
     "github",
     "warm",
     "stats",
 ];
 
 impl Args {
-    /// Parse a raw argument list (without the program/subcommand names).
-    pub fn parse(raw: &[String]) -> Result<Self, ArgError> {
+    /// Parse a raw argument list (without the program/subcommand names),
+    /// rejecting any option or switch not named in `accepted`.
+    pub fn parse(raw: &[String], accepted: &[&str]) -> Result<Self, ArgError> {
         let mut args = Args::default();
-        let mut it = raw.iter().peekable();
+        let mut it = raw.iter();
         while let Some(a) = it.next() {
             if let Some(name) = a.strip_prefix("--") {
-                if let Some((key, value)) = name.split_once('=') {
+                let (key, inline) = name
+                    .split_once('=')
+                    .map_or((name, None), |(key, value)| (key, Some(value)));
+                if !accepted.contains(&key) {
+                    return Err(ArgError::Unknown(key.to_string()));
+                }
+                if let Some(value) = inline {
                     args.options.insert(key.to_string(), value.to_string());
                 } else if SWITCHES.contains(&name) {
                     args.switches.push(name.to_string());
@@ -153,11 +161,14 @@ impl Args {
 mod tests {
     use super::*;
 
+    const ACCEPTED: &[&str] = &["batch", "image", "quick", "json", "nodes", "data"];
+
     fn parse(v: &[&str]) -> Args {
         Args::parse(
             &v.iter()
                 .map(std::string::ToString::to_string)
                 .collect::<Vec<_>>(),
+            ACCEPTED,
         )
         .unwrap()
     }
@@ -189,9 +200,24 @@ mod tests {
     fn missing_value_is_error() {
         let raw = vec!["--batch".to_string()];
         assert_eq!(
-            Args::parse(&raw).unwrap_err(),
+            Args::parse(&raw, ACCEPTED).unwrap_err(),
             ArgError::MissingValue("batch".into())
         );
+    }
+
+    #[test]
+    fn unaccepted_names_are_errors_in_either_form() {
+        for (raw, name) in [
+            (["--imagee", "64"], "imagee"),
+            (["--imagee=64", "x"], "imagee"),
+            (["--perf", "x"], "perf"),
+        ] {
+            let raw: Vec<String> = raw.iter().map(|s| (*s).to_string()).collect();
+            assert_eq!(
+                Args::parse(&raw, ACCEPTED).unwrap_err(),
+                ArgError::Unknown(name.into())
+            );
+        }
     }
 
     #[test]

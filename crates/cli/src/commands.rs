@@ -610,39 +610,22 @@ pub fn lint(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `convmeter analyze [--perf] [--json] [--github] [--jobs N] [--stats]
-/// [--sarif FILE] [--budget FILE] [--parse-cache DIR]`
+/// `convmeter analyze [--json] [--github] [--stats] [--budget FILE]`
 ///
 /// Runs the determinism auditor (`convmeter-analyzer`) over every workspace
-/// source file and reports CA/CD/CB-coded findings; `--perf` additionally
-/// runs the CP hot-path rules over the call graph's span-reachable set.
-/// Exit status is non-zero when any finding is unsuppressed, so CI can
-/// gate on it; suppressions are inline `analyzer:allow` comments (rule
-/// code plus a mandatory reason) at the offending site.
+/// source file in one sequential pass and reports CA, CD, CB and CP-coded
+/// findings. Exit status is non-zero when any finding is unsuppressed, so
+/// CI can gate on it; suppressions are inline `analyzer:allow` comments
+/// (rule code plus a mandatory reason) at the offending site.
 ///
-/// The per-file lex/parse phase fans out across the engine pool
-/// (`--jobs N`, default 1); the combine phase is sequential, so output is
-/// byte-identical for every job count — and, because `--parse-cache DIR`
-/// keys entries by a content hash, for every cache state. `--github`
-/// mirrors findings to stderr as GitHub Actions workflow annotations,
-/// `--sarif FILE` writes a SARIF 2.1.0 log for code-scanning upload, and
-/// both compose with `--json` on stdout. `--stats` appends the per-rule
-/// suppression counts (to stderr under `--json`, keeping stdout parseable);
-/// `--budget FILE` gates those counts against the committed
+/// `--github` mirrors findings to stderr as GitHub Actions workflow
+/// annotations and composes with `--json` on stdout. `--stats` appends the
+/// per-rule suppression counts (to stderr under `--json`, keeping stdout
+/// parseable); `--budget FILE` gates those counts against the committed
 /// `analyzer_budget.json` caps.
 pub fn analyze(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
-    let root = workspace_root()?;
-    let jobs = args.get_or("jobs", 1usize)?;
-    let opts = convmeter_analyzer::AnalysisOptions {
-        perf: args.switch("perf"),
-    };
-    let cache_dir = args.opt("parse-cache").map(std::path::PathBuf::from);
-    let files = convmeter_analyzer::workspace_files(&root).map_err(CliError::AnalyzeSetup)?;
-    let parsed = convmeter_bench::engine::pool::run_ordered(&files, jobs, |_, (path, content)| {
-        convmeter_analyzer::cache::parse_cached(cache_dir.as_deref(), path, content)
-    })
-    .map_err(|p| CliError::Usage(format!("analyzer worker panicked: {p}")))?;
-    let report = convmeter_analyzer::analyze_parsed(&parsed, opts);
+    let report = convmeter_analyzer::analyze_workspace(&workspace_root()?)
+        .map_err(CliError::AnalyzeSetup)?;
     let json = args.switch("json");
     if json {
         writeln!(out, "{}", report.to_json())?;
@@ -664,9 +647,6 @@ pub fn analyze(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
                 writeln!(out, "{line}")?;
             }
         }
-    }
-    if let Some(path) = args.opt("sarif") {
-        std::fs::write(path, convmeter_analyzer::sarif::to_sarif(&report))?;
     }
     if args.switch("github") {
         for f in &report.findings {

@@ -192,31 +192,43 @@ COMMANDS:
                                       [--image 224] [--batch 1]
   benchmark                         run a benchmark sweep and save it
                                       --out FILE [--device gpu|cpu]
+                                      [--precision fp32|tf32|fp16]
                                       [--kind inference|training] [--quick]
                                       [--jobs N]
   benchmark-distributed             multi-node training sweep
-                                      --out FILE [--nodes 1,2,4,8,16] [--quick]
+                                      --out FILE [--device gpu|cpu]
+                                      [--nodes 1,2,4,8,16] [--quick]
                                       [--jobs N]
   fit                               fit a performance model from a dataset
                                       --data FILE --out FILE
                                       [--kind inference|training]
   predict <model>                   predict inference time
-                                      --model-file FILE [--image] [--batch]
+                                      --model-file FILE [--image 224]
+                                      [--batch 1]
   predict-training <model>          predict a training step / epoch
-                                      --model-file FILE [--batch] [--nodes]
+                                      --model-file FILE [--image 224]
+                                      [--batch 64] [--nodes 1]
+                                      [--gpus-per-node 4]
                                       [--dataset-size D] [--epochs E]
   scale-nodes <model>               throughput vs node count
-                                      --model-file FILE [--batch] [--nodes ...]
+                                      --model-file FILE [--image 128]
+                                      [--batch 64] [--nodes 1,2,4,8,16]
   scale-batch <model>               throughput vs batch size
-                                      --model-file FILE [--batches ...]
+                                      --model-file FILE [--image 128]
+                                      [--nodes 1] [--batches 8,16,...]
   bottlenecks <model>               rank blocks by predicted latency
-                                      --model-file FILE [--batch] [--top N]
+                                      --model-file FILE [--image 224]
+                                      [--batch 32] [--top 10]
   compare-strategies <model>        flat ring vs hierarchical vs param server
-                                      [--nodes N] [--batch B]
+                                      [--image 128] [--nodes 4] [--batch 64]
   nas                               latency-constrained architecture search
-                                      --model-file FILE [--budget-ms B]
+                                      --model-file FILE [--budget-ms 2]
+                                      [--batch 16] [--image 64]
+                                      [--population 32] [--rounds 5]
+                                      [--seed 42]
   calibrate                         fit a device profile to real measurements
                                       --data FILE --out PROFILE
+                                      [--device gpu|cpu]
   eval                              leave-one-model-out accuracy report
                                       --data FILE
   bench                             regenerate paper artefacts (engine)
@@ -248,15 +260,36 @@ COMMANDS:
   lint [<model>...]                 static graph & model lints (CMxxxx codes)
                                       [--image N] [--json]
                                       [--model-file FILE] [--data FILE]
-  analyze                           source-level determinism audit (CAxxxx
-                                      codes) over the workspace; --perf adds
-                                      the hot-path CPxxxx rules [--json]
-                                      [--github] [--jobs N] [--stats]
-                                      [--sarif FILE] [--budget FILE]
-                                      [--parse-cache DIR]
+  analyze                           source audit over the workspace: every
+                                      CA, CD, CB and CP rule, one pass
+                                      [--json] [--github] [--stats]
+                                      [--budget FILE]
   dot <model>                       emit the graph in Graphviz DOT
+                                      [--image 224]
   help                              show this message
 ";
+
+/// The options and switches that `command`'s USAGE entry lists, or `None`
+/// when USAGE has no such command. [`run`] accepts exactly these, and a
+/// test holds each entry to what the command's function reads.
+fn usage_options(command: &str) -> Option<Vec<&'static str>> {
+    let mut lines = USAGE.lines().skip_while(|l| {
+        l.strip_prefix("  ")
+            .and_then(|l| l.strip_prefix(command))
+            .is_none_or(|rest| !rest.starts_with(' ') && !rest.is_empty())
+    });
+    let head = lines.next()?;
+    let entry = std::iter::once(head).chain(lines.take_while(|l| l.starts_with("   ")));
+    Some(
+        entry
+            .flat_map(|l| l.split("--").skip(1))
+            .filter_map(|rest| {
+                rest.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                    .next()
+            })
+            .collect(),
+    )
+}
 
 /// Run the CLI with `argv` (excluding the program name), writing to `out`.
 pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
@@ -264,11 +297,21 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         writeln!(out, "{USAGE}")?;
         return Err(CliError::Usage("no command given".into()));
     };
-    let args = Args::parse(&argv[1..])?;
-    if args.switch("help") {
+    let raw = &argv[1..];
+    if raw.iter().any(|a| a == "--help") || matches!(command.as_str(), "help" | "--help" | "-h") {
         writeln!(out, "{USAGE}")?;
         return Ok(());
     }
+    let Some(accepted) = usage_options(command) else {
+        writeln!(out, "{USAGE}")?;
+        return Err(CliError::Usage(format!("unknown command '{command}'")));
+    };
+    let args = Args::parse(raw, &accepted).map_err(|e| match e {
+        ArgError::Unknown(name) => CliError::Usage(format!(
+            "`{command}` does not take --{name}; see `convmeter help`"
+        )),
+        e => CliError::Args(e),
+    })?;
     match command.as_str() {
         "list-models" => commands::list_models(out),
         "metrics" => commands::metrics(&args, out),
@@ -291,14 +334,9 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         "lint" => commands::lint(&args, out),
         "analyze" => commands::analyze(&args, out),
         "dot" => commands::dot(&args, out),
-        "help" | "--help" | "-h" => {
-            writeln!(out, "{USAGE}")?;
-            Ok(())
-        }
-        other => {
-            writeln!(out, "{USAGE}")?;
-            Err(CliError::Usage(format!("unknown command '{other}'")))
-        }
+        other => Err(CliError::Usage(format!(
+            "USAGE lists '{other}' but no command runs it"
+        ))),
     }
 }
 
@@ -750,5 +788,90 @@ mod tests {
             depth >= 2,
             "expected Persist -> Io chain, got depth {depth}"
         );
+    }
+
+    #[test]
+    fn an_option_the_command_does_not_read_is_a_usage_error() {
+        let err = run_str(&["metrics", "resnet18", "--imagee", "64"]).unwrap_err();
+        assert!(matches!(err, CliError::Usage(_)), "{err}");
+        let msg = err.to_string();
+        assert!(msg.contains("--imagee") && msg.contains("metrics"), "{msg}");
+    }
+
+    #[test]
+    fn analyze_takes_only_its_four_options() {
+        assert_eq!(
+            usage_options("analyze"),
+            Some(vec!["json", "github", "stats", "budget"])
+        );
+        for extra in [&["--jobs", "2"][..], &["--perf"], &["--sarif", "out.sarif"]] {
+            let argv: Vec<&str> = ["analyze"].iter().chain(extra).copied().collect();
+            let err = run_str(&argv).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{err}");
+            assert!(err.to_string().contains(extra[0]), "{err}");
+        }
+    }
+
+    /// The option names each top-level `fn` in `commands.rs` reads through
+    /// `args`, keyed by function name.
+    fn option_reads() -> std::collections::BTreeMap<String, std::collections::BTreeSet<String>> {
+        let mut bodies: Vec<(String, bool, String)> = Vec::new();
+        for line in include_str!("commands.rs").lines() {
+            let public = line.strip_prefix("pub fn ");
+            let header = public.or(line.strip_prefix("fn "));
+            if let Some(name) = header.and_then(|h| h.split('(').next()) {
+                bodies.push((name.to_string(), public.is_some(), String::new()));
+            } else if let Some((.., body)) = bodies.last_mut() {
+                body.extend(line.split_whitespace());
+            }
+        }
+        let reads_in = |body: &str| -> std::collections::BTreeSet<String> {
+            let mut reads = std::collections::BTreeSet::new();
+            for method in ["opt", "required", "get_or", "list_or", "switch"] {
+                for rest in body.split(&format!("args.{method}(\"")).skip(1) {
+                    reads.extend(rest.split('"').next().map(str::to_string));
+                }
+            }
+            reads
+        };
+        bodies
+            .iter()
+            .map(|(name, _, body)| {
+                let mut reads = reads_in(body);
+                // A private helper that takes `args` reads for its caller.
+                for (helper, public, helper_body) in &bodies {
+                    if !public && helper != name && body.contains(&format!("{helper}(")) {
+                        reads.extend(reads_in(helper_body));
+                    }
+                }
+                (name.clone(), reads)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn each_usage_entry_lists_exactly_what_its_function_reads() {
+        let reads = option_reads();
+        let commands = USAGE
+            .lines()
+            .filter_map(|l| l.strip_prefix("  "))
+            .filter(|l| !l.starts_with(' '))
+            .filter_map(|l| l.split(' ').next())
+            .filter(|&c| c != "help");
+        for command in commands {
+            let function = command.replace('-', "_");
+            let read = reads
+                .get(&function)
+                .unwrap_or_else(|| panic!("no fn {function}"));
+            let listed: std::collections::BTreeSet<String> = usage_options(command)
+                .unwrap_or_default()
+                .into_iter()
+                .map(str::to_string)
+                .collect();
+            assert_eq!(
+                &listed, read,
+                "USAGE for `{command}` against `commands::{function}`"
+            );
+        }
     }
 }

@@ -7,8 +7,6 @@
 //! ordered worker pool when `convmeter_hwsim::set_sweep_jobs` raises the
 //! worker count. Per-point seeding keeps results identical at any count.
 
-use std::sync::Arc;
-
 use crate::cluster::ClusterConfig;
 use crate::step::StepModel;
 use convmeter_hwsim::{
@@ -127,20 +125,6 @@ impl DistSweepConfig {
     }
 }
 
-/// Compile each supported (model, image) pair in config order via the
-/// shared cache.
-fn compiled_grid(config: &DistSweepConfig) -> Result<Vec<Arc<CompiledModel>>, SweepError> {
-    let mut grid = Vec::with_capacity(config.models.len() * config.image_sizes.len());
-    for name in &config.models {
-        for &size in &config.image_sizes {
-            if let Some(cm) = compile::compiled(name, size)? {
-                grid.push(cm);
-            }
-        }
-    }
-    Ok(grid)
-}
-
 /// All (batch, nodes) points for one compiled pair, from its cached
 /// batch-1 metrics. The step's per-pair terms are computed once, its
 /// kernel times once per batch, and only the cluster-dependent finish once
@@ -194,7 +178,7 @@ fn sweep_with(
     config: &DistSweepConfig,
     faults: Option<&FaultProfile>,
 ) -> Result<Vec<DistTrainingSample>, SweepError> {
-    let grid = compiled_grid(config)?;
+    let grid = compile::compiled_grid(&config.models, &config.image_sizes)?;
     let per_pair = pool::run_ordered(&grid, compile::sweep_jobs(), |_, cm| {
         dist_points(device, config, cm, faults)
     })?;

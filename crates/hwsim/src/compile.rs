@@ -68,6 +68,24 @@ pub fn compiled(name: &str, image_size: usize) -> Result<Option<Arc<CompiledMode
     Ok(Some(cm))
 }
 
+/// The compiled model of every `(model, image size)` pair the model
+/// supports, models outer and sizes inner, through [`compiled`]. This is
+/// the grid every benchmark sweep evaluates; unsupported pairs are skipped.
+pub fn compiled_grid(
+    models: &[String],
+    image_sizes: &[usize],
+) -> Result<Vec<Arc<CompiledModel>>, SweepError> {
+    let mut grid = Vec::with_capacity(models.len() * image_sizes.len());
+    for name in models {
+        for &size in image_sizes {
+            if let Some(cm) = compiled(name, size)? {
+                grid.push(cm);
+            }
+        }
+    }
+    Ok(grid)
+}
+
 /// Drop every memoised compiled model (test isolation helper).
 #[doc(hidden)]
 pub fn clear_cache() {

@@ -157,19 +157,11 @@ impl SweepConfig {
     }
 }
 
-/// Compile each (model, image) combination the models support, in config
-/// order. Warm pairs come straight from the process-global cache.
-fn compiled_grid(config: &SweepConfig) -> Result<Vec<Arc<CompiledModel>>, SweepError> {
+/// The config's compiled grid, timed as one `hwsim.metric_grid` span.
+/// Warm pairs come straight from the process-global cache.
+fn metric_grid(config: &SweepConfig) -> Result<Vec<Arc<CompiledModel>>, SweepError> {
     let _span = obs::span!("hwsim.metric_grid");
-    let mut grid = Vec::with_capacity(config.models.len() * config.image_sizes.len());
-    for name in &config.models {
-        for &size in &config.image_sizes {
-            if let Some(cm) = compile::compiled(name, size)? {
-                grid.push(cm);
-            }
-        }
-    }
-    Ok(grid)
+    compile::compiled_grid(&config.models, &config.image_sizes)
 }
 
 /// Evaluate one point-generator per grid pair across the ordered worker
@@ -286,7 +278,7 @@ pub fn inference_sweep(
     config: &SweepConfig,
 ) -> Result<Vec<InferenceSample>, SweepError> {
     let _span = obs::span!("hwsim.inference_sweep");
-    let grid = compiled_grid(config)?;
+    let grid = metric_grid(config)?;
     sweep_points(&grid, |cm| inference_points(device, config, cm, None))
 }
 
@@ -306,7 +298,7 @@ pub fn inference_sweep_faulted(
         return inference_sweep(device, config);
     }
     let _span = obs::span!("hwsim.inference_sweep");
-    let grid = compiled_grid(config)?;
+    let grid = metric_grid(config)?;
     sweep_points(&grid, |cm| {
         inference_points(device, config, cm, Some(faults))
     })
@@ -318,7 +310,7 @@ pub fn training_sweep(
     config: &SweepConfig,
 ) -> Result<Vec<TrainingSample>, SweepError> {
     let _span = obs::span!("hwsim.training_sweep");
-    let grid = compiled_grid(config)?;
+    let grid = metric_grid(config)?;
     sweep_points(&grid, |cm| training_points(device, config, cm, None))
 }
 
@@ -333,7 +325,7 @@ pub fn training_sweep_faulted(
         return training_sweep(device, config);
     }
     let _span = obs::span!("hwsim.training_sweep");
-    let grid = compiled_grid(config)?;
+    let grid = metric_grid(config)?;
     sweep_points(&grid, |cm| {
         training_points(device, config, cm, Some(faults))
     })
