@@ -311,6 +311,22 @@ fn workspace_analyzes_clean() {
         "suspiciously few files scanned: {}",
         report.files_scanned
     );
+}
+
+/// The CP hot-path rules run in every analysis; the workspace must pass
+/// them, and their hot set and call graph must be populated.
+#[test]
+fn workspace_analyzes_clean_with_perf_rules() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .canonicalize()
+        .expect("workspace root resolves");
+    let report = analyze_workspace(&root).expect("workspace analysis runs");
+    assert!(
+        !report.findings.iter().any(|f| f.code.starts_with("CP")),
+        "the workspace must pass the CP rules:\n{}",
+        report.to_text()
+    );
     assert!(
         report.call_graph.hot_functions > 0,
         "span!-instrumented functions must seed the hot set"
